@@ -49,6 +49,8 @@ class EnergyConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         hs = self.resolved_h_sequence()
+        if len(hs) < 3:
+            raise ConfigError(f"extrapolation needs at least 3 h values, got {len(hs)}")
         if not all(x > 0 for x in hs):
             raise ConfigError("h values must be positive")
         if any(hs[i] <= hs[i + 1] for i in range(len(hs) - 1)):

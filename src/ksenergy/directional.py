@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDirectionError, StencilRangeError
+from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError, StencilRangeError
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization
 
@@ -138,6 +138,13 @@ def directional_field(metric_map, points, dirs, cfg, grid=None):
         g = np.zeros((0, reps.shape[0]))
         g2 = np.zeros((0, reps.shape[0])) if cfg.check_truncation else None
         gmin = np.zeros(0)
+    # gmin is the running max over every value of g and g2 (NaN propagates),
+    # so one check on it catches a non-finite value anywhere
+    if not np.all(np.isfinite(gmin)):
+        raise NonFiniteResultError(
+            f"map {metric_map.label!r} into {space.spec} gives non-finite directional "
+            "moduli (overflow in the target distance?)"
+        )
 
     return DirectionalField(
         points=points,

@@ -41,6 +41,10 @@ class ExtrapolationDataError(KSEnergyError):
     """Not enough (h, value) pairs to extrapolate."""
 
 
+class NonFiniteResultError(KSEnergyError):
+    """An energy route produced non-finite per-node values (overflow or NaN)."""
+
+
 class ConfigError(KSEnergyError):
     """Invalid run configuration (CLI exit code 2)."""
 
@@ -51,7 +55,3 @@ class EmptyMaskWarning(UserWarning):
 
 class ExtrapolationWarning(UserWarning):
     """The h-sequence trend was too irregular for a trustworthy limit."""
-
-
-class TruncationWarning(UserWarning):
-    """Doubling the dense-anchor prefix still moved the energy noticeably."""

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from .config import EnergyReport
-from .errors import ExtrapolationWarning, OutOfInnerDomainError
+from .errors import ExtrapolationWarning, NonFiniteResultError, OutOfInnerDomainError
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization, extrapolate_fields
 
@@ -64,8 +64,9 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True):
 
     Integration is localized to the h0-erosion (the computable stand-in for
     the sup over interior cutoffs); the possibly missed boundary mass is
-    reported as `localization_deficit`, bounded by (complement measure) x
-    (max observed density).
+    reported as `localization_deficit`, estimated as (complement measure) x
+    (max density observed inside the mask). It is not a bound: the density
+    outside the mask may exceed every value seen inside.
     """
     t0 = time.perf_counter()
     mask = grid.inner_mask(cfg.h0)
@@ -79,6 +80,11 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True):
             break
         fields[row] = approx_density_field(
             metric_map, points, h, cfg, grid.dim, workers=cfg.workers
+        )
+    if not np.all(np.isfinite(fields)):
+        raise NonFiniteResultError(
+            f"map {metric_map.label!r} into {metric_map.target.spec} gives non-finite "
+            "ball-average densities (overflow in the target distance?)"
         )
     integrals = [grid.node_weight * pairwise_sum(fields[row]) for row in range(len(h_values))]
 

@@ -10,7 +10,7 @@ Evaluators are vectorized: they accept arrays shaped (..., n) and return
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +32,6 @@ class MetricMap:
     evaluator: Callable[[np.ndarray], np.ndarray]
     label: str
     margin: float = math.inf
-    closed_forms: dict = field(default_factory=dict)
 
     def eval(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -153,7 +152,7 @@ def make_map(spec, space, domain_dim):
             )
         if isinstance(space, (CircleSpace, QPointsSpace)):
             raise ConfigError(f"linear maps need a vector target, got {space.spec}")
-        return MetricMap(space, lambda x, A=mat: x @ A.T, f"linear:{arg}", closed_forms={"matrix": mat})
+        return MetricMap(space, lambda x, A=mat: x @ A.T, f"linear:{arg}")
 
     if name == "winding":
         if not isinstance(space, CircleSpace):
@@ -163,7 +162,6 @@ def make_map(spec, space, domain_dim):
             space,
             lambda x, k=k: (k * x[..., :1]) % TAU,
             f"winding:{arg if arg is not None else '2'}",
-            closed_forms={"winding": k},
         )
 
     if name == "qsplit":
@@ -177,7 +175,7 @@ def make_map(spec, space, domain_dim):
             return np.stack([sheet, -sheet], axis=-1)
 
         # sheets +-sigma with sigma = 1 + x1/4 + x2/2; grad sigma = (1/4, 1/2)
-        return MetricMap(space, qsplit_eval, "qsplit", closed_forms={"sheet_gradient": (0.25, 0.5)})
+        return MetricMap(space, qsplit_eval, "qsplit")
 
     if name == "swirl":
         if not isinstance(space, EuclideanSpace) or isinstance(space, MaxNormPlane) or space.m != 2:

@@ -13,6 +13,15 @@ coordinates) + (dyadic shell of the max-norm radius), finest-near-origin
 first within each cost. That keeps the covering radius on any fixed window
 shrinking quickly with the prefix length while still reaching every dyadic
 point of the plane eventually.
+
+The ``distance`` kernels are the hot path of both energy routes. They work
+on explicit coordinate slices ``a[..., c]`` and accumulate in representation
+order instead of reducing over the short trailing axis, where numpy pays a
+whole inner-loop call per output element. Their results must stay
+bit-identical to the plain reductions they replace (tests/test_spaces.py
+pins this): ``np.linalg.norm`` below 8 coordinates, where numpy sums
+sequentially; the max of absolute differences; and, per pairing, the
+sequential sum of the Q*m squared gaps.
 """
 
 import itertools
@@ -112,7 +121,12 @@ class EuclideanSpace(MetricSpace):
     def distance(self, a, b):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        return np.linalg.norm(a - b, axis=-1)
+        d = a[..., 0] - b[..., 0]
+        sq = d * d
+        for c in range(1, self.m):
+            d = a[..., c] - b[..., c]
+            sq += d * d
+        return np.sqrt(sq)
 
     def dense_points(self, count):
         if len(self._prefix) < count:
@@ -138,7 +152,7 @@ class MaxNormPlane(EuclideanSpace):
     def distance(self, a, b):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        return np.max(np.abs(a - b), axis=-1)
+        return np.maximum(np.abs(a[..., 0] - b[..., 0]), np.abs(a[..., 1] - b[..., 1]))
 
 
 class CircleSpace(MetricSpace):
@@ -200,13 +214,21 @@ class QPointsSpace(MetricSpace):
     def distance(self, a, b):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        a = np.broadcast_to(a, shape).reshape(shape[:-1] + (self.Q, self.m))
-        b = np.broadcast_to(b, shape).reshape(shape[:-1] + (self.Q, self.m))
+        Q, m = self.Q, self.m
+        # squared coordinate gaps between block i of a and block j of b,
+        # each computed once and shared by every pairing
+        sq = {}
+        for i, j, c in itertools.product(range(Q), range(Q), range(m)):
+            d = a[..., i * m + c] - b[..., j * m + c]
+            sq[i, j, c] = d * d
         best = None
         for perm in self._perms:
-            diff = a - b[..., perm, :]
-            cost = np.sum(diff * diff, axis=(-2, -1))
+            # accumulate in (block, coordinate) order, the order of a
+            # sequential sum over the flattened Q*m terms
+            terms = [sq[i, j, c] for i, j in enumerate(perm) for c in range(m)]
+            cost = terms[0]
+            for term in terms[1:]:
+                cost = cost + term
             best = cost if best is None else np.minimum(best, cost)
         return np.sqrt(best)
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ksenergy
 from ksenergy import EnergyConfig, Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
 from ksenergy.cli import main
 from ksenergy.errors import ConfigError
@@ -168,6 +172,27 @@ class TestCli:
         assert main(["compare", "--space", "torus", "--json", "/dev/null"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
+
+    def test_h_count_below_three_is_config_error(self, capsys):
+        assert main(["ks-energy", "--h-count", "2", "--resolution", "8", "--json", "/dev/null"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("subcommand", ["ks-energy", "rep-energy"])
+    def test_non_finite_result_is_structured_error(self, subcommand):
+        """An overflowing map exits 1 with a JSON error, not a traceback."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ksenergy.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksenergy.cli", subcommand, "--map", "linear:1e200,0;0,1",
+             "--resolution", "8", "--h-count", "3", "--ball-order", "4,16", "--K", "32", "--sphere-order", "16"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr[proc.stderr.index("{\n"):])
+        assert err["error"]["type"] == "NonFiniteResultError"
+        assert "linear:1e200,0;0,1" in err["error"]["message"]
 
     def test_counterexample_requires_setup(self):
         assert main(["counterexample", "--space", "euclidean:2", "--json", "/dev/null"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -59,6 +60,77 @@ class TestDistances:
             make_space("euclidean:2").validate_point([1.0, 2.0, 3.0])
         with pytest.raises(InvalidPointError):
             make_space("euclidean:2").validate_point([np.nan, 0.0])
+
+
+def _matching_reference(Q, m, a, b):
+    """The Q!-permutation loop that the Q-points kernel replaced."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    a = np.broadcast_to(a, shape).reshape(shape[:-1] + (Q, m))
+    b = np.broadcast_to(b, shape).reshape(shape[:-1] + (Q, m))
+    best = None
+    for perm in itertools.permutations(range(Q)):
+        diff = a - b[..., perm, :]
+        cost = np.sum(diff * diff, axis=(-2, -1))
+        best = cost if best is None else np.minimum(best, cost)
+    return np.sqrt(best)
+
+
+def _reference_distance(spec, a, b):
+    """The trailing-axis reductions that the distance kernels must reproduce."""
+    if spec.startswith("euclidean"):
+        return np.linalg.norm(a - b, axis=-1)
+    if spec == "max_norm_plane":
+        return np.max(np.abs(a - b), axis=-1)
+    _, Q, m = spec.split(":")
+    return _matching_reference(int(Q), int(m), a, b)
+
+
+def _call_operands(shape_kind, rep_dim, seed):
+    """Operands in the two layouts the package uses, over many magnitudes."""
+    rng = np.random.default_rng(seed)
+    if shape_kind == "broadcast":  # prefix scan: (N, 1, m) x (1, B, m)
+        a = rng.normal(size=(96, 1, rep_dim)) * 10.0 ** rng.uniform(-6, 6, size=(96, 1, 1))
+        b = rng.normal(size=(1, 40, rep_dim))
+    else:  # refinement rows: (R, m) x (R, m)
+        a = rng.normal(size=(4000, rep_dim)) * 10.0 ** rng.uniform(-6, 6, size=(4000, 1))
+        b = rng.normal(size=(4000, rep_dim))
+    return a, b
+
+
+class TestKernelExactness:
+    """The coordinate-slice kernels against the plain reductions they replaced."""
+
+    @pytest.mark.parametrize("shape_kind", ["broadcast", "rows"])
+    @pytest.mark.parametrize("spec", ["euclidean:1", "euclidean:2", "euclidean:3", "max_norm_plane", "q:2:1"])
+    def test_bit_identical(self, spec, shape_kind):
+        space = make_space(spec)
+        for seed in range(3):
+            a, b = _call_operands(shape_kind, space.rep_dim, seed)
+            assert np.array_equal(space.distance(a, b), _reference_distance(spec, a, b))
+
+    def test_q_points_2_2(self):
+        """Bit-identical on rows; within rounding on the broadcast layout.
+
+        The kernel sums each pairing's Q*m squared gaps in representation
+        order. The reference's np.sum follows the memory layout numpy picks
+        for the permuted operand: on rows that is the same sequential order,
+        on the broadcast layout it sums block by block, which may differ in
+        the last bit.
+        """
+        space = make_space("q:2:2")
+        for seed in range(3):
+            a, b = _call_operands("rows", 4, seed)
+            assert np.array_equal(space.distance(a, b), _reference_distance("q:2:2", a, b))
+            a, b = _call_operands("broadcast", 4, seed)
+            np.testing.assert_allclose(space.distance(a, b), _reference_distance("q:2:2", a, b), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("shape_kind", ["broadcast", "rows"])
+    @pytest.mark.parametrize("spec", ["euclidean:8", "q:3:1"])
+    def test_within_rounding(self, spec, shape_kind):
+        """At 8+ terms numpy sums pairwise, so euclidean:8 may differ in rounding."""
+        space = make_space(spec)
+        a, b = _call_operands(shape_kind, space.rep_dim, 0)
+        np.testing.assert_allclose(space.distance(a, b), _reference_distance(spec, a, b), rtol=1e-12, atol=0)
 
 
 class TestDenseEnumeration:
