@@ -124,7 +124,8 @@ class EnergyReport:
     rep_density: Optional[np.ndarray] = None
 
     def relative_gap(self):
-        if self.ks_energy is None or self.rep_energy_sphere is None:
+        # an empty mask makes both energies 0 and their gap meaningless
+        if self.ks_energy is None or self.rep_energy_sphere is None or not self.mask_measure:
             return None
         ref = max(abs(self.rep_energy_sphere), 1e-300)
         return abs(self.ks_energy - self.rep_energy_sphere) / ref

@@ -10,7 +10,11 @@ The sup over D is realized in two layers, both deterministic:
 * a prefix scan over the first K enumerated dense points (anchors within
   `anchor_exclusion * fd_step` of u(x) in the target metric are skipped:
   central differences degrade as the composed field's curvature ~ 1/distance
-  blows up, and in all built-in targets remote anchors realize the sup);
+  blows up, and in all built-in targets remote anchors realize the sup).
+  The scan keeps one running max over the enumeration and copies it at each
+  requested prefix length, so the 2K truncation probe and the K ladder of a
+  convergence sweep come from the same pass; a max is exact and order-free,
+  so each copy equals a separate scan of that prefix;
 * a per-(node, direction) refinement that walks the direction of the anchor
   ray in the target representation space, snapping every trial anchor to a
   dyadic lattice point so the search never leaves the dense set. Refinement
@@ -66,11 +70,26 @@ class DirectionalField:
 
     points: np.ndarray  # (N, n)
     dirs: np.ndarray  # (D, n) unit directions
-    values: np.ndarray  # (N, D) = g_nu at K anchors (+ refinement)
+    reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ refinement)
+    inv: np.ndarray  # (D,) reduced index of each direction
     gmin: np.ndarray  # (N,)
     dense_count: int
     delta: float
-    values_doubled: Optional[np.ndarray] = None  # same, prefix length 2K
+
+    def at_prefix(self, k):
+        """(N, D) g_nu from the first k anchors (+ refinement), expanded on each call."""
+        return self.reduced[k][:, self.inv]
+
+    @property
+    def values(self):
+        """g_nu at the K = dense_count prefix."""
+        return self.at_prefix(self.dense_count)
+
+    @property
+    def values_doubled(self):
+        """g_nu at the 2K prefix (the under-truncation probe), or None."""
+        k = 2 * self.dense_count
+        return self.at_prefix(k) if k in self.reduced else None
 
     def max_direction_gap(self):
         """max g_nu - gmin over everything (must be <= 0 by construction)."""
@@ -102,12 +121,13 @@ def _check_stencil(points, delta, grid, margin):
         )
 
 
-def directional_field(metric_map, points, dirs, cfg, grid=None):
+def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     """Compute g_nu for every point/direction pair, plus the minimal gradient.
 
-    dirs must be unit vectors (1e-12). Returns a DirectionalField whose
-    `values_doubled` is filled when cfg.check_truncation is set, using a
-    dense prefix of length 2K for the under-truncation probe.
+    dirs must be unit vectors (1e-12). `prefixes` are the anchor-prefix
+    lengths to report; it must contain K = cfg.dense_count and defaults to
+    (K, 2K) when cfg.check_truncation is set (the under-truncation probe)
+    and to (K,) otherwise. Every reported length gets the same refinement.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -117,48 +137,65 @@ def directional_field(metric_map, points, dirs, cfg, grid=None):
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise InvalidDirectionError("directions must be unit vectors (tolerance 1e-12)")
+    K = cfg.dense_count
+    if prefixes is None:
+        prefixes = (K, 2 * K) if cfg.check_truncation else (K,)
+    prefixes = tuple(sorted(set(int(k) for k in prefixes)))
+    if K not in prefixes or prefixes[0] < 1:
+        raise ConfigError(f"prefix lengths {prefixes} must be positive and include dense_count={K}")
 
     delta = cfg.resolved_fd_step(grid)
     _check_stencil(points, delta, grid, metric_map.margin)
 
     space = metric_map.target
-    k_total = 2 * cfg.dense_count if cfg.check_truncation else cfg.dense_count
-    anchors = space.dense_points(k_total)
+    anchors = space.dense_points(prefixes[-1])
     reps, inv = _reduce_directions(dirs)
 
     def work(start, stop):
-        return _field_chunk(metric_map, points[start:stop], reps, anchors, delta, cfg)
+        # errstate is per thread; overflow shows up as the NonFiniteResultError below
+        with np.errstate(all="ignore"):
+            return _field_chunk(metric_map, points[start:stop], reps, anchors, prefixes, delta, cfg)
 
     parts = run_chunked(work, points.shape[0], cfg.workers)
     if parts:
-        g = np.concatenate([p[0] for p in parts], axis=0)
-        g2 = np.concatenate([p[1] for p in parts], axis=0) if cfg.check_truncation else None
-        gmin = np.concatenate([p[2] for p in parts], axis=0)
+        # pop: each chunk's copy of a prefix is freed as soon as it is joined
+        snaps = [p[0] for p in parts]
+        reduced = {k: np.concatenate([s.pop(0) for s in snaps], axis=0) for k in prefixes}
+        gmin = np.concatenate([p[1] for p in parts], axis=0)
     else:
-        g = np.zeros((0, reps.shape[0]))
-        g2 = np.zeros((0, reps.shape[0])) if cfg.check_truncation else None
+        reduced = {k: np.zeros((0, reps.shape[0])) for k in prefixes}
         gmin = np.zeros(0)
-    # gmin is the running max over every value of g and g2 (NaN propagates),
-    # so one check on it catches a non-finite value anywhere
+    # gmin is the running max over every reported value (NaN propagates), so
+    # one check on it catches a non-finite refinement value anywhere
     if not np.all(np.isfinite(gmin)):
-        raise NonFiniteResultError(
-            f"map {metric_map.label!r} into {space.spec} gives non-finite directional "
-            "moduli (overflow in the target distance?)"
-        )
+        raise _non_finite(metric_map)
 
     return DirectionalField(
         points=points,
         dirs=dirs,
-        values=g[:, inv],
+        reduced=reduced,
+        inv=inv,
         gmin=gmin,
-        dense_count=cfg.dense_count,
+        dense_count=K,
         delta=delta,
-        values_doubled=g2[:, inv] if g2 is not None else None,
     )
 
 
-def _field_chunk(metric_map, pts, reps, anchors, delta, cfg):
-    """Prefix scan + refinement for one block of points. Returns (g, g2, gmin)."""
+def _non_finite(metric_map):
+    return NonFiniteResultError(
+        f"map {metric_map.label!r} into {metric_map.target.spec} gives non-finite directional "
+        "moduli (overflow in the target distance?)"
+    )
+
+
+def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg):
+    """Prefix scan + refinement for one block of points.
+
+    One running max over the anchor enumeration, copied at every length in
+    `prefixes`. Below K = cfg.dense_count the update is strict, so `arg`
+    keeps the first anchor that realizes the max (the refinement's seed).
+    Returns ([g at each prefix length], gmin).
+    """
     space = metric_map.target
     n = pts.shape[1]
     N = pts.shape[0]
@@ -168,10 +205,15 @@ def _field_chunk(metric_map, pts, reps, anchors, delta, cfg):
     r_excl = cfg.anchor_exclusion * delta
 
     M = np.zeros((N, R))
-    M2 = np.zeros((N, R)) if anchors.shape[0] > K else None
     arg = np.zeros((N, R), dtype=np.int64)
     gmin = np.zeros(N)
     gmin_arg = np.zeros(N, dtype=np.int64)
+    proj = np.empty((N, R))
+    upd = np.empty((N, R), dtype=bool)
+    nupd = np.empty(N, dtype=bool)
+    reps_t = reps.T
+    copy_at = set(prefixes[:-1])
+    snaps = []
 
     batch = 128
     for b0 in range(0, anchors.shape[0], batch):
@@ -184,29 +226,33 @@ def _field_chunk(metric_map, pts, reps, anchors, delta, cfg):
             grads[:, :, i] = (fp - fm) / (2.0 * delta)
         grads[center < r_excl] = 0.0
         norms = np.linalg.norm(grads, axis=2)
+        # a finite norm bounds every projection, and the strict update below
+        # would silently drop a NaN
+        if not np.all(np.isfinite(norms)):
+            raise _non_finite(metric_map)
         for kk in range(xi.shape[0]):
             k = b0 + kk
-            proj = np.abs(grads[:, kk, :] @ reps.T)
+            np.matmul(grads[:, kk, :], reps_t, out=proj)
+            np.abs(proj, out=proj)
             if k < K:
-                upd = proj > M
-                M[upd] = proj[upd]
-                arg[upd] = k
-                nupd = norms[:, kk] > gmin
-                gmin[nupd] = norms[nupd, kk]
-                gmin_arg[nupd] = k
-            if M2 is not None:
-                np.maximum(M2, proj, out=M2)
-
-    if M2 is not None:
-        np.maximum(M2, M, out=M2)
+                np.greater(proj, M, out=upd)
+                np.copyto(M, proj, where=upd)
+                np.copyto(arg, k, where=upd)
+                np.greater(norms[:, kk], gmin, out=nupd)
+                np.copyto(gmin, norms[:, kk], where=nupd)
+                np.copyto(gmin_arg, k, where=nupd)
+            else:
+                np.maximum(M, proj, out=M)
+            if k + 1 in copy_at:
+                snaps.append(M.copy())
+    snaps.append(M)  # the scan ends at the longest prefix
 
     accel, accel_norm = _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg)
-    g = np.maximum(M, accel)
-    g2 = np.maximum(M2, accel) if M2 is not None else None
-    gmin = np.maximum(np.maximum(gmin, accel_norm), g.max(axis=1))
-    if g2 is not None:
-        gmin = np.maximum(gmin, g2.max(axis=1))
-    return g, g2, gmin
+    gmin = np.maximum(gmin, accel_norm)
+    for s in snaps:
+        np.maximum(s, accel, out=s)
+        gmin = np.maximum(gmin, s.max(axis=1))
+    return snaps, gmin
 
 
 def _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg):
@@ -382,21 +428,25 @@ class RepEnergies:
     gmin: Optional[np.ndarray] = None
     mask_indices: Optional[np.ndarray] = None
     mask_measure: float = 0.0
+    energy_sphere_prefix: Optional[dict] = None  # prefix length -> energy_sphere
     energy_sphere_doubled: Optional[float] = None
     under_truncation: bool = False
     field: Optional[DirectionalField] = None
     timing_s: float = 0.0
 
 
-def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame")):
+def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefixes=None, mask=None):
     """Compute the requested representation energies in one shared pass.
 
     All forms reuse a single anchor table per node, so the minimal gradient
     dominates every directional value structurally and the sphere/ball
-    comparison differs only by quadrature.
+    comparison differs only by quadrature. `prefixes` is passed to
+    `directional_field`; the sphere energy is reported at each of its
+    lengths. `mask` is the h0-erosion mask, built here when not given.
     """
     t0 = time.perf_counter()
-    mask = grid.inner_mask(cfg.h0)
+    if mask is None:
+        mask = grid.inner_mask(cfg.h0)
     idx = np.flatnonzero(mask)
     pts = grid.nodes[idx]
     n = grid.dim
@@ -427,7 +477,7 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame")):
         pos += n
 
     dirs = np.concatenate(groups, axis=0)
-    f = directional_field(metric_map, pts, dirs, cfg, grid)
+    f = directional_field(metric_map, pts, dirs, cfg, grid, prefixes)
 
     out = RepEnergies(
         gmin=f.gmin,
@@ -441,10 +491,15 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame")):
         density = (values[:, s:e] ** cfg.p) @ sphere_rule.weights
         return density, grid.node_weight * pairwise_sum(density)
 
+    values = f.values
     if sphere_rule is not None:
-        out.density_sphere, out.energy_sphere = sphere_energy(f.values)
-        if f.values_doubled is not None:
-            _, out.energy_sphere_doubled = sphere_energy(f.values_doubled)
+        out.density_sphere, out.energy_sphere = sphere_energy(values)
+        out.energy_sphere_prefix = {
+            k: out.energy_sphere if k == cfg.dense_count else sphere_energy(f.at_prefix(k))[1]
+            for k in f.reduced
+        }
+        if 2 * cfg.dense_count in f.reduced:
+            out.energy_sphere_doubled = out.energy_sphere_prefix[2 * cfg.dense_count]
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
             out.under_truncation = (
                 abs(out.energy_sphere_doubled - out.energy_sphere) > cfg.truncation_rtol * ref
@@ -452,12 +507,12 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame")):
     if ball_rule is not None:
         s, e = bounds["ball"]
         c_np = energy_normalization(n, cfg.p)
-        moduli = f.values[:, s:e] * ball_radii[None, :]
+        moduli = values[:, s:e] * ball_radii[None, :]
         out.density_ball = c_np * (moduli**cfg.p) @ ball_rule.weights
         out.energy_ball = grid.node_weight * pairwise_sum(out.density_ball)
     if "frame" in forms:
         s, e = bounds["frame"]
-        out.density_frame = np.sum(f.values[:, s:e] ** cfg.p, axis=1)
+        out.density_frame = np.sum(values[:, s:e] ** cfg.p, axis=1)
         out.frame_sum = grid.node_weight * pairwise_sum(out.density_frame)
 
     out.timing_s = time.perf_counter() - t0

@@ -46,30 +46,47 @@ def approx_density_field(metric_map, points, h, cfg, n, workers=1):
         acc = np.zeros(stop - start)
         sub = points[start:stop]
         base_sub = base[start:stop]
-        for b0 in range(0, rule.nodes.shape[0], node_chunk):
-            v = rule.nodes[b0 : b0 + node_chunk]
-            w = rule.weights[b0 : b0 + node_chunk]
-            shifted = metric_map.eval(sub[:, None, :] + h * v[None, :, :])
-            d = metric_map.target.distance(shifted, base_sub[:, None, :])
-            acc += (d**cfg.p) @ w
+        # errstate is per thread; overflow shows up as the NonFiniteResultError below
+        with np.errstate(all="ignore"):
+            for b0 in range(0, rule.nodes.shape[0], node_chunk):
+                hv = h * rule.nodes[b0 : b0 + node_chunk]
+                w = rule.weights[b0 : b0 + node_chunk]
+                # per-coordinate fill: the same sums as broadcasting over the
+                # length-n trailing axis, without its per-element inner loops
+                x = np.empty((sub.shape[0], hv.shape[0], n))
+                for c in range(n):
+                    np.add(sub[:, c, None], hv[None, :, c], out=x[..., c])
+                shifted = metric_map.eval(x)
+                d = metric_map.target.distance(shifted, base_sub[:, None, :])
+                acc += (d**cfg.p) @ w
         return acc
 
     parts = run_chunked(work, points.shape[0], workers)
     out = np.concatenate(parts) if parts else np.zeros(0)
-    return c_np * out / h**cfg.p
+    with np.errstate(all="ignore"):
+        density = c_np * out / h**cfg.p
+    if not np.all(np.isfinite(density)):
+        raise NonFiniteResultError(
+            f"map {metric_map.label!r} into {metric_map.target.spec} gives non-finite "
+            "ball-average densities (overflow in the target distance?)"
+        )
+    return density
 
 
-def ks_energy(metric_map, grid, cfg, keep_fields=True):
+def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
     """Integrated densities over the h-ladder, extrapolated to h -> 0.
 
     Integration is localized to the h0-erosion (the computable stand-in for
     the sup over interior cutoffs); the possibly missed boundary mass is
     reported as `localization_deficit`, estimated as (complement measure) x
     (max density observed inside the mask). It is not a bound: the density
-    outside the mask may exceed every value seen inside.
+    outside the mask may exceed every value seen inside, and with an empty
+    mask nothing is observed, so the deficit is None. `mask` is the
+    h0-erosion mask, built here when not given.
     """
     t0 = time.perf_counter()
-    mask = grid.inner_mask(cfg.h0)
+    if mask is None:
+        mask = grid.inner_mask(cfg.h0)
     idx = np.flatnonzero(mask)
     points = grid.nodes[idx]
     h_values = cfg.resolved_h_sequence()
@@ -80,11 +97,6 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True):
             break
         fields[row] = approx_density_field(
             metric_map, points, h, cfg, grid.dim, workers=cfg.workers
-        )
-    if not np.all(np.isfinite(fields)):
-        raise NonFiniteResultError(
-            f"map {metric_map.label!r} into {metric_map.target.spec} gives non-finite "
-            "ball-average densities (overflow in the target distance?)"
         )
     integrals = [grid.node_weight * pairwise_sum(fields[row]) for row in range(len(h_values))]
 
@@ -126,8 +138,9 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True):
         density_max = float(report.ks_density.max(initial=0.0))
     else:
         density_max = float(fields[-1].max(initial=0.0))
-    uncovered = grid.measure - report.mask_measure
-    report.localization_deficit = max(uncovered, 0.0) * density_max
+    if len(idx):
+        uncovered = grid.measure - report.mask_measure
+        report.localization_deficit = max(uncovered, 0.0) * density_max
     report.timing["ks_energy_s"] = time.perf_counter() - t0
     return report
 

@@ -111,8 +111,9 @@ def run_compare(problem, cfg):
     space, metric_map, grid = problem.build()
     report = _base_report(problem, cfg, "compare")
     t0 = time.perf_counter()
-    ks = ks_energy(metric_map, grid, cfg)
-    frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "ball"))
+    mask = grid.inner_mask(cfg.h0)
+    ks = ks_energy(metric_map, grid, cfg, mask=mask)
+    frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "ball"), mask=mask)
     ks.rep_energy_sphere = frag.energy_sphere
     ks.rep_energy_ball = frag.energy_ball
     ks.rep_density = frag.density_sphere
@@ -191,31 +192,33 @@ def run_convergence(problem, cfg, sweeps=("h", "K", "sphere", "delta")):
     space, metric_map, grid = problem.build()
     report = _base_report(problem, cfg, "convergence")
     t0 = time.perf_counter()
+    mask = grid.inner_mask(cfg.h0)
     tables = {}
 
     if "h" in sweeps:
-        ks = ks_energy(metric_map, grid, cfg, keep_fields=False)
+        ks = ks_energy(metric_map, grid, cfg, keep_fields=False, mask=mask)
         tables["h_sweep"] = [("h", "integral")] + list(zip(ks.h_values, ks.h_integrals))
         report["ks_energy"] = ks.ks_energy
 
     if "K" in sweeps:
-        ladder, rows = [], []
+        ladder = []
         k = 16
         while k < cfg.dense_count:
             ladder.append(k)
             k *= 2
         ladder.append(cfg.dense_count)
-        for k in ladder:
-            cfg_k = replace(cfg, dense_count=k, check_truncation=False, refine_stages=0)
-            frag = rep_energies(metric_map, grid, cfg_k, forms=("sphere",))
-            rows.append((k, frag.energy_sphere))
+        # the K-prefix values are snapshots of one running max over the
+        # anchor enumeration, so one scan to the largest K gives every row
+        cfg_k = replace(cfg, check_truncation=False, refine_stages=0)
+        frag = rep_energies(metric_map, grid, cfg_k, forms=("sphere",), prefixes=ladder, mask=mask)
+        rows = [(k, frag.energy_sphere_prefix[k]) for k in ladder]
         tables["K_sweep"] = [("K", "rep_energy_sphere_prefix_only")] + rows
 
     if "sphere" in sweeps:
         rows = []
         for order in (16, 32, 64, 128, 256):
             cfg_o = replace(cfg, sphere_order=order, check_truncation=False)
-            frag = rep_energies(metric_map, grid, cfg_o, forms=("sphere",))
+            frag = rep_energies(metric_map, grid, cfg_o, forms=("sphere",), mask=mask)
             rows.append((order, frag.energy_sphere))
         tables["sphere_sweep"] = [("sphere_order", "rep_energy_sphere")] + rows
 
@@ -224,7 +227,7 @@ def run_convergence(problem, cfg, sweeps=("h", "K", "sphere", "delta")):
         spacing = float(np.min(grid.spacing))
         for j in (1, 2, 4, 8, 16):
             cfg_d = replace(cfg, fd_step=spacing / j, check_truncation=False)
-            frag = rep_energies(metric_map, grid, cfg_d, forms=("sphere",))
+            frag = rep_energies(metric_map, grid, cfg_d, forms=("sphere",), mask=mask)
             rows.append((spacing / j, frag.energy_sphere))
         tables["delta_sweep"] = [("delta", "rep_energy_sphere")] + rows
 

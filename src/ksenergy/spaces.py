@@ -21,7 +21,9 @@ whole inner-loop call per output element. Their results must stay
 bit-identical to the plain reductions they replace (tests/test_spaces.py
 pins this): ``np.linalg.norm`` below 8 coordinates, where numpy sums
 sequentially; the max of absolute differences; and, per pairing, the
-sequential sum of the Q*m squared gaps.
+sequential sum of the Q*m squared gaps. The same rule covers the shifted
+ball points ``x + h v`` of the KS route (``ks.approx_density_field``),
+filled coordinate by coordinate from the same operands.
 """
 
 import itertools

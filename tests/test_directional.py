@@ -6,6 +6,7 @@ import pytest
 
 from ksenergy import (
     EnergyConfig,
+    Problem,
     check_increment_bound,
     directional_derivative,
     directional_field,
@@ -15,8 +16,9 @@ from ksenergy import (
     make_space,
     minimal_gradient,
     rep_energies,
+    run_convergence,
 )
-from ksenergy.errors import InvalidDirectionError, StencilRangeError
+from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
@@ -214,6 +216,65 @@ class TestFieldInvariants:
         v0 = directional_field(m, pts, dirs, base, unit_grid_16).values
         v1 = directional_field(m, pts, dirs, refined, unit_grid_16).values
         assert np.all(v1 >= v0 - 1e-15)
+
+
+class TestNestedScan:
+    """Every reported prefix length is a snapshot of one running max."""
+
+    CFG = EnergyConfig(p=3.0, dense_count=64, sphere_order=32, h_count=3)
+
+    @staticmethod
+    def _problem(map_spec, space_spec):
+        return Problem(space_spec, map_spec, (0.0, 0.0), (1.0, 1.0), (32, 32))
+
+    @pytest.mark.parametrize(
+        "map_spec, space_spec",
+        [("linear:1,0.5;0.25,2", "euclidean:2"), ("identity", "max_norm_plane"), ("qsplit", "q:2:1")],
+    )
+    def test_k_sweep_equals_separate_prefix_scans(self, map_spec, space_spec):
+        problem = self._problem(map_spec, space_spec)
+        _, tables, _ = run_convergence(problem, self.CFG, sweeps=("K",))
+        _, metric_map, grid = problem.build()
+        expected = []
+        for k in (16, 32, 64):
+            cfg_k = replace(self.CFG, dense_count=k, check_truncation=False, refine_stages=0)
+            expected.append((k, rep_energies(metric_map, grid, cfg_k, forms=("sphere",)).energy_sphere))
+        assert tables["K_sweep"][1:] == expected
+
+    def test_k_sweep_independent_of_workers(self):
+        problem = self._problem("swirl:0.3", "euclidean:2")
+        tables = [
+            run_convergence(problem, replace(self.CFG, workers=w), sweeps=("K",))[1]["K_sweep"]
+            for w in (1, 2)
+        ]
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("map_spec, space_spec", [("swirl:0.3", "euclidean:2"), ("winding:2", "circle")])
+    def test_probe_equals_doubled_prefix_without_refinement(self, unit_grid_16, map_spec, space_spec):
+        m = make_map(map_spec, make_space(space_spec), 2)
+        pts = unit_grid_16.nodes[unit_grid_16.inner_mask(0.05)]
+        theta = np.linspace(0, np.pi, 17)[:-1]
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        probe = EnergyConfig(dense_count=64, refine_stages=0)
+        doubled = replace(probe, dense_count=128, check_truncation=False)
+        f = directional_field(m, pts, dirs, probe, unit_grid_16)
+        assert np.array_equal(f.values_doubled, directional_field(m, pts, dirs, doubled, unit_grid_16).values)
+
+    def test_every_prefix_length_is_a_separate_scan(self, unit_grid_16):
+        m = make_map("linear:1,0.5;0.25,2", make_space("euclidean:2"), 2)
+        pts = unit_grid_16.nodes[[50, 100, 150]]
+        theta = np.linspace(0, np.pi, 9)[:-1]
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        cfg = EnergyConfig(dense_count=64, check_truncation=False, refine_stages=0)
+        f = directional_field(m, pts, dirs, cfg, unit_grid_16, prefixes=range(1, 65))
+        for k in range(1, 65):
+            single = directional_field(m, pts, dirs, replace(cfg, dense_count=k), unit_grid_16)
+            assert np.array_equal(f.at_prefix(k), single.values), k
+
+    def test_prefixes_must_include_dense_count(self, unit_grid_16, cfg_small):
+        m = make_map("identity", make_space("euclidean:2"), 2)
+        with pytest.raises(ConfigError):
+            directional_field(m, X0[None, :], np.array([[1.0, 0.0]]), cfg_small, unit_grid_16, prefixes=(16, 32))
 
 
 class TestIncrementBound:

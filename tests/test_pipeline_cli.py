@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import ksenergy
 from ksenergy import EnergyConfig, Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
 from ksenergy.cli import main
-from ksenergy.errors import ConfigError
+from ksenergy.errors import ConfigError, EmptyMaskWarning, NonFiniteResultError
 
 SMALL = dict(lower=(0.0, 0.0), upper=(1.0, 1.0), resolution=(24, 24))
 FAST_CFG = dict(h_count=4, sphere_order=128, ball_order=(8, 64), dense_count=256)
@@ -178,21 +179,41 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
 
-    @pytest.mark.parametrize("subcommand", ["ks-energy", "rep-energy"])
+    @pytest.mark.parametrize("subcommand", ["ks-energy", "rep-energy", "convergence"])
     def test_non_finite_result_is_structured_error(self, subcommand):
-        """An overflowing map exits 1 with a JSON error, not a traceback."""
+        """An overflowing map exits 1 with one JSON error on stderr: no traceback, no numpy warnings."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(ksenergy.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the K sweep scans prefixes only: no truncation probe, no refinement
+        extra = ["--sweep", "K"] if subcommand == "convergence" else []
         proc = subprocess.run(
             [sys.executable, "-m", "ksenergy.cli", subcommand, "--map", "linear:1e200,0;0,1",
-             "--resolution", "8", "--h-count", "3", "--ball-order", "4,16", "--K", "32", "--sphere-order", "16"],
+             "--resolution", "8", "--h-count", "3", "--ball-order", "4,16", "--K", "32", "--sphere-order", "16"]
+            + extra,
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        err = json.loads(proc.stderr[proc.stderr.index("{\n"):])
+        err = json.loads(proc.stderr)
         assert err["error"]["type"] == "NonFiniteResultError"
         assert "linear:1e200,0;0,1" in err["error"]["message"]
+
+    def test_non_finite_scan_without_probe_or_refinement(self):
+        cfg = EnergyConfig(check_truncation=False, refine_stages=0, dense_count=32, sphere_order=16)
+        with pytest.raises(NonFiniteResultError):
+            run_rep(small_problem("linear:1e200,0;0,1"), cfg, form="sphere")
+
+    def test_empty_mask_reports_null_gap_and_deficit(self, tmp_path):
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["compare", "--resolution", "8", "--h0", "0.49", "--h-count", "3", "--json", str(out)])
+        assert code == 0
+        assert [type(w.message) for w in caught] == [EmptyMaskWarning]
+        body = json.loads(out.read_text())
+        assert body["relative_gap"] is None
+        assert body["localization_deficit"] is None
+        assert body["warnings"] == ["empty_mask"]
 
     def test_counterexample_requires_setup(self):
         assert main(["counterexample", "--space", "euclidean:2", "--json", "/dev/null"]) == 2
@@ -203,8 +224,6 @@ class TestCli:
             "--resolution", "8", "--h0", "0.49", "--h-count", "3",
             "--ball-order", "4,16", "--json", str(tmp_path / "w.json"),
         ]
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(args) == 0
