@@ -19,7 +19,11 @@ The sup over D is realized in two layers, both deterministic:
   ray in the target representation space, snapping every trial anchor to a
   dyadic lattice point so the search never leaves the dense set. Refinement
   anchors sit at moderate radius, with a final far-radius polish where the
-  stencil error is negligible.
+  stencil error is negligible. Every trial of a sweep perturbs the
+  sweep-start ray, so the rows of a node that share a ray share every trial
+  anchor: target distances are evaluated once per such group, and groups
+  split only at the end of a sweep, by the trial each row took last. The
+  result is exactly that of a climb row by row.
 
 Both layers only ever evaluate members of the dense set, so every computed
 value is a lower bound of the true supremum, monotone in K by construction.
@@ -76,9 +80,15 @@ class DirectionalField:
     dense_count: int
     delta: float
 
-    def at_prefix(self, k):
-        """(N, D) g_nu from the first k anchors (+ refinement), expanded on each call."""
-        return self.reduced[k][:, self.inv]
+    def at_prefix(self, k, cols=slice(None)):
+        """(N, D) g_nu from the first k anchors (+ refinement), expanded on each call.
+
+        `cols` selects the directions to expand (all by default). Column
+        fancy indexing returns a Fortran-ordered table, and the energies'
+        matmuls over it round by that layout: an `np.take` copy (C order)
+        changes reports in the last digit.
+        """
+        return self.reduced[k][:, self.inv[cols]]
 
     @property
     def values(self):
@@ -262,6 +272,14 @@ def _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta,
     space, snapping candidates to the dyadic lattice; the projection
     objective is maximized per (point, direction) row, the norm objective per
     point (for the minimal gradient).
+
+    Sharing rule: every trial of a sweep perturbs the sweep-start w (the
+    m = 1 trials do not depend on w at all), so rows of one node that start a
+    sweep on the same ray share every trial anchor of that sweep. Target
+    distances are evaluated once per such group (`_RayGroups`); only the
+    scalar objective and the `val > best` update run per row. Groups start
+    as (node, seed anchor) and split only at the end of a sweep, by the trial
+    each row took last; the far-radius polish windows are sweeps too.
     """
     if cfg.refine_stages <= 0:
         return np.zeros((pts.shape[0], reps.shape[0])), np.zeros(pts.shape[0])
@@ -271,88 +289,138 @@ def _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta,
     m = space.rep_dim
     depth = _snap_depth(delta)
 
-    u0_rows = np.repeat(stencil.u0, R, axis=0)
-    plus_rows = [np.repeat(stencil.plus[i], R, axis=0) for i in range(n)]
-    minus_rows = [np.repeat(stencil.minus[i], R, axis=0) for i in range(n)]
-    nu_rows = np.tile(reps, (N, 1))
-
-    def project_objective(anchor_pts, u_rows_p, u_rows_m, nus):
-        j = np.zeros(anchor_pts.shape[0])
+    def project_objective(diffs):
+        j = np.zeros((N, R))
         for i in range(n):
-            fp = space.distance(u_rows_p[i], anchor_pts)
-            fm = space.distance(u_rows_m[i], anchor_pts)
-            j += nus[:, i] * (fp - fm)
-        return np.abs(j) / (2.0 * delta)
+            j += diffs[i].reshape(N, R) * reps[:, i]
+        return np.abs(j).ravel() / (2.0 * delta)
 
-    def norm_objective(anchor_pts, u_rows_p, u_rows_m):
-        sq = np.zeros(anchor_pts.shape[0])
+    def norm_objective(diffs):
+        sq = np.zeros(N)
         for i in range(n):
-            fp = space.distance(u_rows_p[i], anchor_pts)
-            fm = space.distance(u_rows_m[i], anchor_pts)
-            sq += (fp - fm) ** 2
+            sq += diffs[i] ** 2
         return np.sqrt(sq) / (2.0 * delta)
 
-    def climb(u_rows, u_rows_p, u_rows_m, w_init, objective):
-        rows = u_rows.shape[0]
-        w = w_init
-        best_anchor = space.snap(u_rows - cfg.refine_radius * w, depth)
-        best = objective(best_anchor)
+    def sweep(groups, trials, radius, best, objective):
+        """Each row keeps the best of the trials; returns whether any row moved."""
+        pick = np.zeros(best.shape, dtype=np.intp)
+        cands = []
+        for t, cand in enumerate(trials, 1):
+            val = groups.evaluate(cand, radius, objective)
+            take = val > best
+            np.copyto(best, val, where=take)
+            pick[take] = t
+            cands.append(cand)
+        moved = bool(pick.any())
+        if moved:
+            groups.split(cands, pick)
+        return moved
+
+    def climb(seeds, per_node, objective):
+        groups = _RayGroups(space, depth, stencil, anchors, seeds, per_node)
+        best = groups.evaluate(groups.w, cfg.refine_radius, objective)
         if m == 1:
-            for sign in (1.0, -1.0):
-                cand = np.full((rows, 1), sign)
-                val = objective(space.snap(u_rows - cfg.refine_radius * cand, depth))
-                take = val > best
-                best[take] = val[take]
-                w = np.where(take[:, None], cand, w)
+            trials = (np.full((groups.size, 1), sign) for sign in (1.0, -1.0))
+            sweep(groups, trials, cfg.refine_radius, best, objective)
         else:
             window = 0.8
             for _ in range(cfg.refine_stages):
                 # several sweeps per scale: one sweep cannot cover multi-step
                 # tangent walks when the start is far off (m >= 3 especially)
                 for _ in range(3):
-                    moved = False
-                    for cand in _perturb(w, window, m):
-                        val = objective(space.snap(u_rows - cfg.refine_radius * cand, depth))
-                        take = val > best
-                        if np.any(take):
-                            moved = True
-                            best[take] = val[take]
-                            w = np.where(take[:, None], cand, w)
-                    if not moved:
+                    if not sweep(groups, _perturb(groups.w, window, m), cfg.refine_radius, best, objective):
                         break
                 window /= 3.0
         # far-radius polish: stencil error dies off like 1/radius^2, and two
         # fine rotations absorb the near-radius snap quantization
-        far = objective(space.snap(u_rows - cfg.polish_radius * w, depth))
-        far_w = w
+        far = groups.evaluate(groups.w, cfg.polish_radius, objective)
         if m >= 2:
             for window in (4e-4, 1.3e-4):
-                for cand in _perturb(far_w, window, m):
-                    val = objective(space.snap(u_rows - cfg.polish_radius * cand, depth))
-                    take = val > far
-                    if np.any(take):
-                        far[take] = val[take]
-                        far_w = np.where(take[:, None], cand, far_w)
+                sweep(groups, _perturb(groups.w, window, m), cfg.polish_radius, far, objective)
         return np.maximum(best, far)
 
-    w0 = _initial_directions(space, u0_rows, anchors[arg.ravel()])
-    g_accel = climb(
-        u0_rows,
-        plus_rows,
-        minus_rows,
-        w0,
-        lambda a: project_objective(a, plus_rows, minus_rows, nu_rows),
-    ).reshape(N, R)
-
-    w0n = _initial_directions(space, stencil.u0, anchors[gmin_arg])
-    gmin_accel = climb(
-        stencil.u0,
-        stencil.plus,
-        stencil.minus,
-        w0n,
-        lambda a: norm_objective(a, stencil.plus, stencil.minus),
-    )
+    g_accel = climb(arg.ravel(), R, project_objective).reshape(N, R)
+    gmin_accel = climb(gmin_arg, 1, norm_objective)
     return g_accel, gmin_accel
+
+
+class _RayGroups:
+    """Climb rows grouped by (node, ray direction w); row r belongs to node r // per_node.
+
+    Keeps each group's stencil values and w; `evaluate` computes the target
+    distances once per group and hands the objective per-row differences.
+    Once every group is a single row, groups are renumbered as the rows
+    (row_g None) and nothing is gathered or regrouped any more.
+    """
+
+    def __init__(self, space, depth, stencil, anchors, seeds, per_node):
+        self.space = space
+        self.depth = depth
+        key = np.arange(seeds.size) // per_node * anchors.shape[0] + seeds
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        if first.size == seeds.size:
+            first, inv = np.arange(seeds.size), None
+        self.rep, self.row_g = first, inv
+        # np.take: row gathers of 2-d arrays by fancy indexing are several times slower
+        node = first // per_node
+        self.u0 = np.take(stencil.u0, node, axis=0)
+        self.plus = [np.take(p, node, axis=0) for p in stencil.plus]
+        self.minus = [np.take(p, node, axis=0) for p in stencil.minus]
+        self.w = _initial_directions(space, self.u0, np.take(anchors, seeds[first], axis=0))
+
+    @property
+    def size(self):
+        return self.w.shape[0]
+
+    def evaluate(self, cand, radius, objective):
+        """Per-row objective at the snapped anchors u0 - radius * cand (one cand row per group)."""
+        anchor = self.space.snap(self.u0 - radius * cand, self.depth)
+        diffs = []
+        for plus, minus in zip(self.plus, self.minus):
+            d = self.space.distance(plus, anchor) - self.space.distance(minus, anchor)
+            diffs.append(d if self.row_g is None else np.take(d, self.row_g))
+        return objective(diffs)
+
+    def split(self, cands, pick):
+        """End of a sweep: each row's w becomes the trial it took last.
+
+        pick[row] = t takes cands[t - 1]; 0 keeps the sweep-start w. A group
+        follows its first row; rows that picked otherwise move to new groups
+        keyed by (group, pick).
+        """
+        if self.row_g is not None:
+            ref = pick[self.rep]
+            stray = np.flatnonzero(pick != ref[self.row_g])
+            if stray.size:
+                self._add_groups(stray, cands, pick)
+            pick = ref
+        for t, cand in enumerate(cands, 1):
+            took = np.flatnonzero(pick == t)
+            self.w[took] = np.take(cand, took, axis=0)
+        if self.row_g is not None and self.size == self.row_g.size:
+            # every group is one row: renumber the groups as the rows
+            order = self.row_g
+            self.u0, self.w = np.take(self.u0, order, axis=0), np.take(self.w, order, axis=0)
+            self.plus = [np.take(p, order, axis=0) for p in self.plus]
+            self.minus = [np.take(p, order, axis=0) for p in self.minus]
+            self.rep, self.row_g = np.arange(order.size), None
+
+    def _add_groups(self, stray, cands, pick):
+        G = self.size
+        key = self.row_g[stray] * (len(cands) + 1) + pick[stray]
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        lead = stray[first]
+        old = self.row_g[lead]
+        w = np.take(self.w, old, axis=0)
+        for t, cand in enumerate(cands, 1):
+            took = np.flatnonzero(pick[lead] == t)
+            w[took] = np.take(cand, old[took], axis=0)
+        self.row_g[stray] = G + inv
+        self.rep = np.concatenate([self.rep, lead])
+        self.w = np.concatenate([self.w, w])
+        self.u0 = np.concatenate([self.u0, np.take(self.u0, old, axis=0)])
+        self.plus = [np.concatenate([p, np.take(p, old, axis=0)]) for p in self.plus]
+        self.minus = [np.concatenate([p, np.take(p, old, axis=0)]) for p in self.minus]
 
 
 def _initial_directions(space, u_rows, anchor_rows):
@@ -486,17 +554,20 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
         field=f,
     )
 
-    def sphere_energy(values):
-        s, e = bounds["sphere"]
-        density = (values[:, s:e] ** cfg.p) @ sphere_rule.weights
+    def form_values(form, k=cfg.dense_count):
+        # expand only this form's directions: the full (N, D) table is the
+        # largest array of a run
+        s, e = bounds[form]
+        return f.at_prefix(k, slice(s, e))
+
+    def sphere_energy(k):
+        density = (form_values("sphere", k) ** cfg.p) @ sphere_rule.weights
         return density, grid.node_weight * pairwise_sum(density)
 
-    values = f.values
     if sphere_rule is not None:
-        out.density_sphere, out.energy_sphere = sphere_energy(values)
+        out.density_sphere, out.energy_sphere = sphere_energy(cfg.dense_count)
         out.energy_sphere_prefix = {
-            k: out.energy_sphere if k == cfg.dense_count else sphere_energy(f.at_prefix(k))[1]
-            for k in f.reduced
+            k: out.energy_sphere if k == cfg.dense_count else sphere_energy(k)[1] for k in f.reduced
         }
         if 2 * cfg.dense_count in f.reduced:
             out.energy_sphere_doubled = out.energy_sphere_prefix[2 * cfg.dense_count]
@@ -505,14 +576,12 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
                 abs(out.energy_sphere_doubled - out.energy_sphere) > cfg.truncation_rtol * ref
             )
     if ball_rule is not None:
-        s, e = bounds["ball"]
         c_np = energy_normalization(n, cfg.p)
-        moduli = values[:, s:e] * ball_radii[None, :]
+        moduli = form_values("ball") * ball_radii[None, :]
         out.density_ball = c_np * (moduli**cfg.p) @ ball_rule.weights
         out.energy_ball = grid.node_weight * pairwise_sum(out.density_ball)
     if "frame" in forms:
-        s, e = bounds["frame"]
-        out.density_frame = np.sum(values[:, s:e] ** cfg.p, axis=1)
+        out.density_frame = np.sum(form_values("frame") ** cfg.p, axis=1)
         out.frame_sum = grid.node_weight * pairwise_sum(out.density_frame)
 
     out.timing_s = time.perf_counter() - t0

@@ -49,9 +49,13 @@ class ConfigError(KSEnergyError):
     """Invalid run configuration (CLI exit code 2)."""
 
 
-class EmptyMaskWarning(UserWarning):
+class KSEnergyWarning(UserWarning):
+    """Base class for the package's numerical warnings; each also has a coded report entry."""
+
+
+class EmptyMaskWarning(KSEnergyWarning):
     """Erosion produced an empty inner domain."""
 
 
-class ExtrapolationWarning(UserWarning):
+class ExtrapolationWarning(KSEnergyWarning):
     """The h-sequence trend was too irregular for a trustworthy limit."""

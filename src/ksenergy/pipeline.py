@@ -42,6 +42,15 @@ class Problem:
         }
 
 
+def _require_sphere(problem):
+    """The directional route averages over S^(n-1): reject a 1-d domain before any numerics."""
+    if len(problem.lower) < 2:
+        raise ConfigError(
+            f"the directional route needs a domain of dimension >= 2, got {len(problem.lower)}-d "
+            "(ks-energy works in 1-d)"
+        )
+
+
 def _base_report(problem, cfg, subcommand):
     return {
         "schema_version": 1,
@@ -83,6 +92,7 @@ def run_rep(problem, cfg, form="both"):
     if form not in ("sphere", "ball", "both"):
         raise ConfigError(f"unknown form {form!r}")
     forms = ("sphere", "ball") if form == "both" else (form,)
+    _require_sphere(problem)
     space, metric_map, grid = problem.build()
     report = _base_report(problem, cfg, "rep-energy")
     t0 = time.perf_counter()
@@ -97,9 +107,12 @@ def run_rep(problem, cfg, form="both"):
             "under_truncation": frag.under_truncation,
         }
     )
+    if not frag.mask_measure:
+        report["warnings"].append("empty_mask")
     if frag.energy_sphere is not None and frag.energy_ball is not None:
         ref = max(abs(frag.energy_sphere), 1e-300)
-        report["sphere_ball_gap"] = abs(frag.energy_sphere - frag.energy_ball) / ref
+        # an empty h0 mask makes both energies 0 and their gap meaningless
+        report["sphere_ball_gap"] = abs(frag.energy_sphere - frag.energy_ball) / ref if frag.mask_measure else None
     if frag.under_truncation:
         report["warnings"].append("under_truncation")
     report["timing"]["total_s"] = time.perf_counter() - t0
@@ -108,6 +121,7 @@ def run_rep(problem, cfg, form="both"):
 
 def run_compare(problem, cfg):
     """compare: both routes on the same map, with the per-node density gap."""
+    _require_sphere(problem)
     space, metric_map, grid = problem.build()
     report = _base_report(problem, cfg, "compare")
     t0 = time.perf_counter()
@@ -161,9 +175,17 @@ def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
     report = _base_report(problem, cfg, "counterexample")
     t0 = time.perf_counter()
     frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "frame"))
-    sphere_density = frag.energy_sphere / frag.mask_measure
-    frame_density = frag.frame_sum / frag.mask_measure
     oracle_frame, oracle_sphere = maxnorm_counterexample_constants(cfg.p, nodes=oracle_nodes)
+    if frag.mask_measure:
+        sphere_density = frag.energy_sphere / frag.mask_measure
+        frame_density = frag.frame_sum / frag.mask_measure
+        sphere_gap = abs(sphere_density - oracle_sphere)
+        frame_gap = abs(frame_density - oracle_frame)
+        strict = bool(frame_density > sphere_density)
+    else:
+        # an empty h0 mask makes the densities 0/0, and every quantity derived from them
+        sphere_density = frame_density = sphere_gap = frame_gap = strict = None
+        report["warnings"].append("empty_mask")
     report.update(
         {
             "mask_measure": frag.mask_measure,
@@ -171,13 +193,13 @@ def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
             "frame_density": frame_density,
             "oracle_sphere_density": oracle_sphere,
             "oracle_frame_density": oracle_frame,
-            "sphere_oracle_gap": abs(sphere_density - oracle_sphere),
-            "frame_oracle_gap": abs(frame_density - oracle_frame),
-            "strict_inequality": bool(frame_density > sphere_density),
+            "sphere_oracle_gap": sphere_gap,
+            "frame_oracle_gap": frame_gap,
+            "strict_inequality": strict,
             "under_truncation": frag.under_truncation,
         }
     )
-    if not report["strict_inequality"]:
+    if strict is False:
         report["warnings"].append("frame_sum_not_larger")
     report["timing"]["total_s"] = time.perf_counter() - t0
     header = [f"x{i}" for i in range(grid.dim)] + ["sphere_density", "frame_density"]
@@ -189,6 +211,8 @@ def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
 
 def run_convergence(problem, cfg, sweeps=("h", "K", "sphere", "delta")):
     """convergence: parameter-sweep tables for plotting."""
+    if set(sweeps) & {"K", "sphere", "delta"}:
+        _require_sphere(problem)
     space, metric_map, grid = problem.build()
     report = _base_report(problem, cfg, "convergence")
     t0 = time.perf_counter()
@@ -199,6 +223,9 @@ def run_convergence(problem, cfg, sweeps=("h", "K", "sphere", "delta")):
         ks = ks_energy(metric_map, grid, cfg, keep_fields=False, mask=mask)
         tables["h_sweep"] = [("h", "integral")] + list(zip(ks.h_values, ks.h_integrals))
         report["ks_energy"] = ks.ks_energy
+        report["warnings"] = list(ks.warnings)
+    elif not mask.any():
+        report["warnings"].append("empty_mask")
 
     if "K" in sweeps:
         ladder = []

@@ -18,6 +18,9 @@ from ksenergy import (
     rep_energies,
     run_convergence,
 )
+import ksenergy.directional
+from ksenergy import build_grid
+from ksenergy.directional import _initial_directions, _perturb, _snap_depth
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap
 
@@ -275,6 +278,115 @@ class TestNestedScan:
         m = make_map("identity", make_space("euclidean:2"), 2)
         with pytest.raises(ConfigError):
             directional_field(m, X0[None, :], np.array([[1.0, 0.0]]), cfg_small, unit_grid_16, prefixes=(16, 32))
+
+
+def _per_row_refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg):
+    """Reference climb: every (node, direction) row evaluates its own trial anchors."""
+    if cfg.refine_stages <= 0:
+        return np.zeros((pts.shape[0], reps.shape[0])), np.zeros(pts.shape[0])
+    space = metric_map.target
+    N, n = pts.shape
+    R = reps.shape[0]
+    m = space.rep_dim
+    depth = _snap_depth(delta)
+    u0_rows = np.repeat(stencil.u0, R, axis=0)
+    plus_rows = [np.repeat(stencil.plus[i], R, axis=0) for i in range(n)]
+    minus_rows = [np.repeat(stencil.minus[i], R, axis=0) for i in range(n)]
+    nu_rows = np.tile(reps, (N, 1))
+
+    def project_objective(a, u_p, u_m):
+        j = np.zeros(a.shape[0])
+        for i in range(n):
+            j += nu_rows[:, i] * (space.distance(u_p[i], a) - space.distance(u_m[i], a))
+        return np.abs(j) / (2.0 * delta)
+
+    def norm_objective(a, u_p, u_m):
+        sq = np.zeros(a.shape[0])
+        for i in range(n):
+            sq += (space.distance(u_p[i], a) - space.distance(u_m[i], a)) ** 2
+        return np.sqrt(sq) / (2.0 * delta)
+
+    def improve(best, w, cand, radius, u_rows, objective):
+        val = objective(space.snap(u_rows - radius * cand, depth))
+        take = val > best
+        best[take] = val[take]
+        return np.where(take[:, None], cand, w), bool(np.any(take))
+
+    def climb(u_rows, w, objective):
+        best = objective(space.snap(u_rows - cfg.refine_radius * w, depth))
+        if m == 1:
+            for sign in (1.0, -1.0):
+                w, _ = improve(best, w, np.full((u_rows.shape[0], 1), sign), cfg.refine_radius, u_rows, objective)
+        else:
+            window = 0.8
+            for _ in range(cfg.refine_stages):
+                for _ in range(3):
+                    moved = False
+                    # every trial of a sweep perturbs the sweep-start w
+                    for cand in list(_perturb(w, window, m)):
+                        w, took = improve(best, w, cand, cfg.refine_radius, u_rows, objective)
+                        moved |= took
+                    if not moved:
+                        break
+                window /= 3.0
+        far = objective(space.snap(u_rows - cfg.polish_radius * w, depth))
+        if m >= 2:
+            for window in (4e-4, 1.3e-4):
+                for cand in list(_perturb(w, window, m)):
+                    w, _ = improve(far, w, cand, cfg.polish_radius, u_rows, objective)
+        return np.maximum(best, far)
+
+    g = climb(
+        u0_rows,
+        _initial_directions(space, u0_rows, anchors[arg.ravel()]),
+        lambda a: project_objective(a, plus_rows, minus_rows),
+    )
+    gmin = climb(
+        stencil.u0,
+        _initial_directions(space, stencil.u0, anchors[gmin_arg]),
+        lambda a: norm_objective(a, stencil.plus, stencil.minus),
+    )
+    return g.reshape(N, R), gmin
+
+
+class TestGroupedClimb:
+    """Rows grouped by shared ray get exactly the values of a per-row climb."""
+
+    CFG = EnergyConfig(dense_count=64, h_count=3)
+
+    @pytest.mark.parametrize(
+        "map_spec, space_spec, dim",
+        [
+            ("linear:1,0.5;0.25,2", "euclidean:2", 2),
+            ("linear:1,0;0.5,2;0.3,-0.7", "euclidean:3", 2),
+            ("identity", "max_norm_plane", 2),
+            ("winding:2", "circle", 2),
+            ("qsplit", "q:2:1", 2),
+            ("linear:1,0.5,0.25;0.3,2,0.1", "euclidean:2", 3),
+        ],
+    )
+    def test_equals_per_row_climb(self, monkeypatch, map_spec, space_spec, dim):
+        # more nodes than one chunk, so workers=2 runs two chunks at once
+        grid = build_grid([0.0] * dim, [1.0] * dim, [32, 32] if dim == 2 else [9, 9, 9])
+        m = make_map(map_spec, make_space(space_spec), dim)
+        pts = grid.nodes[grid.inner_mask(0.05)]
+        assert len(pts) > 512
+        if dim == 2:
+            theta = np.linspace(0, np.pi, 13)[:-1]
+            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        else:
+            dirs = np.random.default_rng(0).normal(size=(10, 3))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for workers in (1, 2):
+            cfg = replace(self.CFG, workers=workers)
+            got = directional_field(m, pts, dirs, cfg, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(ksenergy.directional, "_refine_chunk", _per_row_refine_chunk)
+                want = directional_field(m, pts, dirs, cfg, grid)
+            assert got.reduced.keys() == want.reduced.keys()
+            for k in want.reduced:
+                assert np.array_equal(got.reduced[k], want.reduced[k]), (workers, k)
+            assert np.array_equal(got.gmin, want.gmin), workers
 
 
 class TestIncrementBound:

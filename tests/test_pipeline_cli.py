@@ -21,6 +21,15 @@ def small_problem(map_spec="identity", space_spec="euclidean:2"):
     return Problem(space_spec=space_spec, map_spec=map_spec, **SMALL)
 
 
+def run_cli(args):
+    """Run `python -m ksenergy.cli` on this checkout's package; returns the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksenergy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "ksenergy.cli", *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
 class TestRunners:
     def test_compare_identity(self):
         report, tables, _ = run_compare(small_problem(), EnergyConfig(**FAST_CFG))
@@ -182,15 +191,12 @@ class TestCli:
     @pytest.mark.parametrize("subcommand", ["ks-energy", "rep-energy", "convergence"])
     def test_non_finite_result_is_structured_error(self, subcommand):
         """An overflowing map exits 1 with one JSON error on stderr: no traceback, no numpy warnings."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ksenergy.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         # the K sweep scans prefixes only: no truncation probe, no refinement
         extra = ["--sweep", "K"] if subcommand == "convergence" else []
-        proc = subprocess.run(
-            [sys.executable, "-m", "ksenergy.cli", subcommand, "--map", "linear:1e200,0;0,1",
+        proc = run_cli(
+            [subcommand, "--map", "linear:1e200,0;0,1",
              "--resolution", "8", "--h-count", "3", "--ball-order", "4,16", "--K", "32", "--sphere-order", "16"]
-            + extra,
-            capture_output=True, text=True, env=env, timeout=300,
+            + extra
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -214,6 +220,57 @@ class TestCli:
         assert body["relative_gap"] is None
         assert body["localization_deficit"] is None
         assert body["warnings"] == ["empty_mask"]
+
+    def test_empty_mask_counterexample_reports_null_densities(self, tmp_path):
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyMaskWarning)
+            code = main(["counterexample", "--space", "max_norm_plane", "--map", "identity",
+                         "--resolution", "8", "--h0", "0.49", "--h-count", "3", "--K", "64",
+                         "--sphere-order", "16", "--json", str(out)])
+        assert code == 0
+        body = json.loads(out.read_text())
+        for key in ("sphere_density", "frame_density", "sphere_oracle_gap", "frame_oracle_gap", "strict_inequality"):
+            assert body[key] is None, key
+        assert body["oracle_frame_density"] == 2.0
+        assert body["warnings"] == ["empty_mask"]
+
+    def test_empty_mask_rep_energy_reports_null_gap(self, tmp_path):
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyMaskWarning)
+            code = main(["rep-energy", "--space", "max_norm_plane", "--map", "identity",
+                         "--resolution", "8", "--h0", "0.49", "--h-count", "3", "--K", "64",
+                         "--sphere-order", "16", "--ball-order", "4,16", "--json", str(out)])
+        assert code == 0
+        body = json.loads(out.read_text())
+        assert body["sphere_ball_gap"] is None
+        assert body["warnings"] == ["empty_mask"]
+
+    def test_empty_mask_convergence_is_coded(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyMaskWarning)
+            report, _, _ = run_convergence(
+                Problem("euclidean:2", "identity", (0.0, 0.0), (1.0, 1.0), (8, 8)),
+                EnergyConfig(h0=0.49, h_count=3, dense_count=32, sphere_order=16),
+                sweeps=("K",),
+            )
+        assert report["warnings"] == ["empty_mask"]
+
+    def test_successful_run_keeps_python_warnings_off_stderr(self):
+        """The coded `warnings` entry is the only trace of an empty mask on the command line."""
+        proc = run_cli(["compare", "--resolution", "8", "--h0", "0.49", "--h-count", "3"])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["warnings"] == ["empty_mask"]
+
+    @pytest.mark.parametrize("subcommand", ["rep-energy", "compare", "convergence"])
+    def test_one_d_domain_rejected_on_directional_route(self, capsys, subcommand):
+        args = ["--space", "euclidean:1", "--map", "identity", "--lower", "0", "--upper", "1", "--resolution", "16"]
+        assert main([subcommand, *args, "--json", "/dev/null"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
+        # the KS route has no sphere directions and works in 1-d
+        assert main(["ks-energy", *args, "--h-count", "3", "--json", "/dev/null"]) == 0
 
     def test_counterexample_requires_setup(self):
         assert main(["counterexample", "--space", "euclidean:2", "--json", "/dev/null"]) == 2
