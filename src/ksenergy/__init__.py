@@ -6,7 +6,7 @@ construction (``ks_energy``) and the directional-derivative representation
 they share.
 """
 
-from .config import EnergyConfig, EnergyReport
+from .config import EnergyConfig
 from .directional import (
     DirectionalField,
     check_increment_bound,
@@ -41,7 +41,6 @@ __all__ = [
     "DirectionalField",
     "DomainGrid",
     "EnergyConfig",
-    "EnergyReport",
     "MetricMap",
     "MetricSpace",
     "Problem",

@@ -14,6 +14,8 @@ import json
 import sys
 import warnings
 
+import numpy as np
+
 from .config import EnergyConfig
 from .errors import ConfigError, KSEnergyError, KSEnergyWarning
 from .pipeline import Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
@@ -80,13 +82,17 @@ def build_parser():
     return parser
 
 
-def _vector(text):
-    return tuple(float(v) for v in str(text).split(","))
+def _numbers(text, kind, flag):
+    """Comma-separated numbers of one kind; malformed text is a ConfigError."""
+    try:
+        return tuple(kind(v) for v in str(text).split(","))
+    except ValueError as exc:
+        raise ConfigError(f"malformed {flag} {text!r}") from exc
 
 
 def _resolution(text, dim):
-    parts = [int(v) for v in str(text).split(",")]
-    return tuple(parts) if len(parts) > 1 else tuple(parts * dim)
+    parts = _numbers(text, int, "--resolution")
+    return parts if len(parts) > 1 else parts * dim
 
 
 _CONFIG_ALIASES = {"K": "dense_count", "map": "map_spec", "json": "json_out", "csv": "csv_prefix"}
@@ -96,8 +102,13 @@ def _apply_config_file(args):
     """File values fill flags the user left at their parser defaults."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config) as fh:
-        defaults = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+    if not isinstance(defaults, dict):
+        raise ConfigError(f"config file {args.config!r} must hold a JSON object")
     parser_defaults = vars(build_parser().parse_args([args.subcommand] + _required_stub(args)))
     for key, value in defaults.items():
         attr = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
@@ -117,8 +128,9 @@ def _required_stub(args):
 def _energy_config(args):
     ball_order = None
     if args.ball_order:
-        radial, angular = (int(v) for v in str(args.ball_order).split(","))
-        ball_order = (radial, angular)
+        ball_order = _numbers(args.ball_order, int, "--ball-order")
+        if len(ball_order) != 2:
+            raise ConfigError(f"--ball-order takes radial,angular, got {args.ball_order!r}")
     return EnergyConfig(
         p=args.p,
         h0=args.h0,
@@ -134,8 +146,8 @@ def _energy_config(args):
 
 
 def _problem(args):
-    lower = _vector(args.lower)
-    upper = _vector(args.upper)
+    lower = _numbers(args.lower, float, "--lower")
+    upper = _numbers(args.upper, float, "--upper")
     return Problem(
         space_spec=args.space,
         map_spec=args.map_spec,
@@ -157,30 +169,37 @@ def _emit(args, report, tables):
             write_csv(f"{args.csv_prefix}_{name}.csv", table[0], table[1:])
 
 
+def _run(args):
+    """Run the parsed subcommand; returns (report, tables)."""
+    if args.subcommand == "oracle":
+        return run_oracle(args.which, args.p, matrix=args.matrix, nodes=args.nodes), {}
+    problem = _problem(args)
+    cfg = _energy_config(args)
+    if args.subcommand == "ks-energy":
+        report, tables, _ = run_ks(problem, cfg)
+    elif args.subcommand == "rep-energy":
+        report, tables, _ = run_rep(problem, cfg, form=args.form)
+    elif args.subcommand == "compare":
+        report, tables, _ = run_compare(problem, cfg)
+    elif args.subcommand in ("counterexample", "frame-vs-sphere"):
+        report, tables, _ = run_counterexample(problem, cfg)
+    elif args.subcommand == "convergence":
+        sweeps = tuple(s.strip() for s in args.sweep.split(","))
+        report, tables, _ = run_convergence(problem, cfg, sweeps=sweeps)
+    else:  # pragma: no cover
+        raise ConfigError(f"unknown subcommand {args.subcommand}")
+    return report, tables
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(args)
-        if args.subcommand == "oracle":
-            report = run_oracle(args.which, args.p, matrix=args.matrix, nodes=args.nodes)
-            tables = {}
-        else:
-            problem = _problem(args)
-            cfg = _energy_config(args)
-            if args.subcommand == "ks-energy":
-                report, tables, _ = run_ks(problem, cfg)
-            elif args.subcommand == "rep-energy":
-                report, tables, _ = run_rep(problem, cfg, form=args.form)
-            elif args.subcommand == "compare":
-                report, tables, _ = run_compare(problem, cfg)
-            elif args.subcommand in ("counterexample", "frame-vs-sphere"):
-                report, tables, _ = run_counterexample(problem, cfg)
-            elif args.subcommand == "convergence":
-                sweeps = tuple(s.strip() for s in args.sweep.split(","))
-                report, tables, _ = run_convergence(problem, cfg, sweeps=sweeps)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown subcommand {args.subcommand}")
+        # a non-finite report number is a NonFiniteResultError (pipeline._report),
+        # so numpy's floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            report, tables = _run(args)
     except ConfigError as exc:
         sys.stderr.write(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2

@@ -1,6 +1,7 @@
-"""Run configuration and the report structure shared by both energy routes."""
+"""Run configuration shared by both energy routes."""
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -40,10 +41,16 @@ class EnergyConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
-        if self.h0 <= 0:
-            raise ConfigError(f"h0 must be positive, got {self.h0}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise ConfigError(f"p must be finite and >= 1, got {self.p}")
+        if not (math.isfinite(self.h0) and self.h0 > 0):
+            raise ConfigError(f"h0 must be positive and finite, got {self.h0}")
+        if self.fd_step is not None and not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ConfigError(f"fd_step must be positive and finite, got {self.fd_step}")
+        for name in ("sphere_order", "ball_order"):
+            value = getattr(self, name)
+            if value is not None and np.any(np.asarray(value) < 1):
+                raise ConfigError(f"{name} entries must be >= 1, got {value}")
         if self.dense_count < 1:
             raise ConfigError("dense_count must be >= 1")
         if self.workers < 1:
@@ -85,76 +92,3 @@ class EnergyConfig:
             d["ball_order"] = list(d["ball_order"])
         return d
 
-
-@dataclass
-class EnergyReport:
-    """Everything a run produces; arrays stay out of the JSON body."""
-
-    space: str
-    map_label: str
-    p: float
-    dim: int
-    config: dict
-
-    h_values: list = field(default_factory=list)
-    h_integrals: list = field(default_factory=list)
-    ks_energy: Optional[float] = None
-    ks_order: Optional[float] = None
-    ks_error_estimate: Optional[float] = None
-
-    rep_energy_sphere: Optional[float] = None
-    rep_energy_ball: Optional[float] = None
-    frame_sum_energy: Optional[float] = None
-
-    mask_measure: Optional[float] = None
-    domain_measure: Optional[float] = None
-    inner_measure_exact: Optional[float] = None
-    localization_deficit: Optional[float] = None
-
-    dense_count: Optional[int] = None
-    truncation_energy_doubled: Optional[float] = None
-    under_truncation: bool = False
-
-    warnings: list = field(default_factory=list)
-    timing: dict = field(default_factory=dict)
-
-    # per-node fields over the h0 mask (not serialized to JSON)
-    mask_indices: Optional[np.ndarray] = None
-    ks_density: Optional[np.ndarray] = None
-    rep_density: Optional[np.ndarray] = None
-
-    def relative_gap(self):
-        # an empty mask makes both energies 0 and their gap meaningless
-        if self.ks_energy is None or self.rep_energy_sphere is None or not self.mask_measure:
-            return None
-        ref = max(abs(self.rep_energy_sphere), 1e-300)
-        return abs(self.ks_energy - self.rep_energy_sphere) / ref
-
-    def to_json_dict(self):
-        body = {
-            "schema_version": 1,
-            "space": self.space,
-            "map": self.map_label,
-            "p": self.p,
-            "dim": self.dim,
-            "config": self.config,
-            "h_values": self.h_values,
-            "h_integrals": self.h_integrals,
-            "ks_energy": self.ks_energy,
-            "ks_order": self.ks_order,
-            "ks_error_estimate": self.ks_error_estimate,
-            "rep_energy_sphere": self.rep_energy_sphere,
-            "rep_energy_ball": self.rep_energy_ball,
-            "frame_sum_energy": self.frame_sum_energy,
-            "relative_gap": self.relative_gap(),
-            "mask_measure": self.mask_measure,
-            "domain_measure": self.domain_measure,
-            "inner_measure_exact": self.inner_measure_exact,
-            "localization_deficit": self.localization_deficit,
-            "dense_count": self.dense_count,
-            "truncation_energy_doubled": self.truncation_energy_doubled,
-            "under_truncation": self.under_truncation,
-            "warnings": list(self.warnings),
-            "timing": dict(self.timing),
-        }
-        return body

@@ -30,13 +30,13 @@ value is a lower bound of the true supremum, monotone in K by construction.
 """
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError, StencilRangeError
+from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
+from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization
 
@@ -72,13 +72,11 @@ def _snap_depth(delta):
 class DirectionalField:
     """Directional moduli g_nu(x) on a point set, plus the minimal gradient."""
 
-    points: np.ndarray  # (N, n)
     dirs: np.ndarray  # (D, n) unit directions
     reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ refinement)
     inv: np.ndarray  # (D,) reduced index of each direction
     gmin: np.ndarray  # (N,)
     dense_count: int
-    delta: float
 
     def at_prefix(self, k, cols=slice(None)):
         """(N, D) g_nu from the first k anchors (+ refinement), expanded on each call.
@@ -106,31 +104,6 @@ class DirectionalField:
         return float(np.max(self.values - self.gmin[:, None]))
 
 
-class _StencilCache:
-    """Map values at x and x +- delta e_i for a block of points."""
-
-    def __init__(self, metric_map, points, delta, n):
-        self.u0 = metric_map.eval(points)
-        self.plus = []
-        self.minus = []
-        for i in range(n):
-            step = np.zeros(n)
-            step[i] = delta
-            self.plus.append(metric_map.eval(points + step))
-            self.minus.append(metric_map.eval(points - step))
-
-
-def _check_stencil(points, delta, grid, margin):
-    if grid is None:
-        return
-    lo = grid.lower - margin
-    hi = grid.upper + margin
-    if np.any(points - delta < lo) or np.any(points + delta > hi):
-        raise StencilRangeError(
-            f"fd stencil of width {delta} leaves the evaluable region for some points"
-        )
-
-
 def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     """Compute g_nu for every point/direction pair, plus the minimal gradient.
 
@@ -155,7 +128,6 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
         raise ConfigError(f"prefix lengths {prefixes} must be positive and include dense_count={K}")
 
     delta = cfg.resolved_fd_step(grid)
-    _check_stencil(points, delta, grid, metric_map.margin)
 
     space = metric_map.target
     anchors = space.dense_points(prefixes[-1])
@@ -164,7 +136,7 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     def work(start, stop):
         # errstate is per thread; overflow shows up as the NonFiniteResultError below
         with np.errstate(all="ignore"):
-            return _field_chunk(metric_map, points[start:stop], reps, anchors, prefixes, delta, cfg)
+            return _field_chunk(metric_map, points[start:stop], reps, anchors, prefixes, delta, cfg, grid)
 
     parts = run_chunked(work, points.shape[0], cfg.workers)
     if parts:
@@ -180,15 +152,7 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     if not np.all(np.isfinite(gmin)):
         raise _non_finite(metric_map)
 
-    return DirectionalField(
-        points=points,
-        dirs=dirs,
-        reduced=reduced,
-        inv=inv,
-        gmin=gmin,
-        dense_count=K,
-        delta=delta,
-    )
+    return DirectionalField(dirs=dirs, reduced=reduced, inv=inv, gmin=gmin, dense_count=K)
 
 
 def _non_finite(metric_map):
@@ -198,12 +162,13 @@ def _non_finite(metric_map):
     )
 
 
-def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg):
+def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     """Prefix scan + refinement for one block of points.
 
     One running max over the anchor enumeration, copied at every length in
     `prefixes`. Below K = cfg.dense_count the update is strict, so `arg`
     keeps the first anchor that realizes the max (the refinement's seed).
+    `grid` (or None) bounds the stencil, as in `maps.eval_stencil`.
     Returns ([g at each prefix length], gmin).
     """
     space = metric_map.target
@@ -211,7 +176,7 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg):
     N = pts.shape[0]
     R = reps.shape[0]
     K = cfg.dense_count
-    stencil = _StencilCache(metric_map, pts, delta, n)
+    stencil = eval_stencil(metric_map, pts, delta, grid)
     r_excl = cfg.anchor_exclusion * delta
 
     M = np.zeros((N, R))
@@ -491,16 +456,13 @@ class RepEnergies:
     energy_ball: Optional[float] = None
     frame_sum: Optional[float] = None
     density_sphere: Optional[np.ndarray] = None
-    density_ball: Optional[np.ndarray] = None
     density_frame: Optional[np.ndarray] = None
-    gmin: Optional[np.ndarray] = None
     mask_indices: Optional[np.ndarray] = None
     mask_measure: float = 0.0
     energy_sphere_prefix: Optional[dict] = None  # prefix length -> energy_sphere
     energy_sphere_doubled: Optional[float] = None
     under_truncation: bool = False
     field: Optional[DirectionalField] = None
-    timing_s: float = 0.0
 
 
 def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefixes=None, mask=None):
@@ -512,7 +474,6 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
     `directional_field`; the sphere energy is reported at each of its
     lengths. `mask` is the h0-erosion mask, built here when not given.
     """
-    t0 = time.perf_counter()
     if mask is None:
         mask = grid.inner_mask(cfg.h0)
     idx = np.flatnonzero(mask)
@@ -547,12 +508,7 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
     dirs = np.concatenate(groups, axis=0)
     f = directional_field(metric_map, pts, dirs, cfg, grid, prefixes)
 
-    out = RepEnergies(
-        gmin=f.gmin,
-        mask_indices=idx,
-        mask_measure=float(grid.node_weight * len(idx)),
-        field=f,
-    )
+    out = RepEnergies(mask_indices=idx, mask_measure=float(grid.node_weight * len(idx)), field=f)
 
     def form_values(form, k=cfg.dense_count):
         # expand only this form's directions: the full (N, D) table is the
@@ -578,13 +534,11 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
     if ball_rule is not None:
         c_np = energy_normalization(n, cfg.p)
         moduli = form_values("ball") * ball_radii[None, :]
-        out.density_ball = c_np * (moduli**cfg.p) @ ball_rule.weights
-        out.energy_ball = grid.node_weight * pairwise_sum(out.density_ball)
+        density_ball = c_np * (moduli**cfg.p) @ ball_rule.weights
+        out.energy_ball = grid.node_weight * pairwise_sum(density_ball)
     if "frame" in forms:
         out.density_frame = np.sum(form_values("frame") ** cfg.p, axis=1)
         out.frame_sum = grid.node_weight * pairwise_sum(out.density_frame)
-
-    out.timing_s = time.perf_counter() - t0
     return out
 
 

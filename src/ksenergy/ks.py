@@ -10,12 +10,12 @@ to produce the energy; per-node extrapolation gives the limiting density
 field.
 """
 
-import time
 import warnings
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .config import EnergyReport
 from .errors import ExtrapolationWarning, NonFiniteResultError, OutOfInnerDomainError
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization, extrapolate_fields
@@ -73,6 +73,24 @@ def approx_density_field(metric_map, points, h, cfg, n, workers=1):
     return density
 
 
+@dataclass
+class KSResult:
+    """What `ks_energy` computes over the h0 mask (`mask_indices` into grid.nodes)."""
+
+    h_values: list
+    h_integrals: list
+    ks_energy: float
+    ks_order: float
+    ks_error_estimate: float
+    mask_indices: np.ndarray
+    mask_measure: float
+    domain_measure: float
+    inner_measure_exact: float
+    localization_deficit: Optional[float]
+    ks_density: Optional[np.ndarray]  # per-node limit density, kept on request
+    warnings: list  # coded entries, in the order they arose
+
+
 def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
     """Integrated densities over the h-ladder, extrapolated to h -> 0.
 
@@ -84,7 +102,6 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
     mask nothing is observed, so the deficit is None. `mask` is the
     h0-erosion mask, built here when not given.
     """
-    t0 = time.perf_counter()
     if mask is None:
         mask = grid.inner_mask(cfg.h0)
     idx = np.flatnonzero(mask)
@@ -100,25 +117,12 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
         )
     integrals = [grid.node_weight * pairwise_sum(fields[row]) for row in range(len(h_values))]
 
-    report = EnergyReport(
-        space=metric_map.target.spec,
-        map_label=metric_map.label,
-        p=cfg.p,
-        dim=grid.dim,
-        config=cfg.to_dict(),
-        h_values=list(h_values),
-        h_integrals=[float(v) for v in integrals],
-        mask_measure=float(grid.node_weight * len(idx)),
-        domain_measure=grid.measure,
-        inner_measure_exact=grid.inner_measure(cfg.h0),
-        dense_count=cfg.dense_count,
-    )
-
     seq = np.array(integrals)
+    coded = []
     if len(idx) == 0:
-        report.warnings.append("empty_mask")
+        coded.append("empty_mask")
     if _oscillates(seq):
-        report.warnings.append("extrapolation_unreliable")
+        coded.append("extrapolation_unreliable")
         warnings.warn(
             "integrated densities are not monotone in h; extrapolated limit is unreliable",
             ExtrapolationWarning,
@@ -126,23 +130,31 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
         )
     limit, order, err, fb = extrapolate_fields(np.array(h_values), seq[:, None])
     if fb[0]:
-        report.warnings.append("extrapolation_order_fallback")
-    report.ks_energy = max(float(limit[0]), 0.0)
-    report.ks_order = float(order[0])
-    report.ks_error_estimate = float(err[0])
+        coded.append("extrapolation_order_fallback")
 
+    ks_density = None
     if keep_fields:
         dlimit, _, _, _ = extrapolate_fields(np.array(h_values), fields)
-        report.mask_indices = idx
-        report.ks_density = np.maximum(dlimit, 0.0)
-        density_max = float(report.ks_density.max(initial=0.0))
+        ks_density = np.maximum(dlimit, 0.0)
+        density_max = float(ks_density.max(initial=0.0))
     else:
         density_max = float(fields[-1].max(initial=0.0))
-    if len(idx):
-        uncovered = grid.measure - report.mask_measure
-        report.localization_deficit = max(uncovered, 0.0) * density_max
-    report.timing["ks_energy_s"] = time.perf_counter() - t0
-    return report
+    mask_measure = float(grid.node_weight * len(idx))
+    deficit = max(grid.measure - mask_measure, 0.0) * density_max if len(idx) else None
+    return KSResult(
+        h_values=list(h_values),
+        h_integrals=[float(v) for v in integrals],
+        ks_energy=max(float(limit[0]), 0.0),
+        ks_order=float(order[0]),
+        ks_error_estimate=float(err[0]),
+        mask_indices=idx,
+        mask_measure=mask_measure,
+        domain_measure=grid.measure,
+        inner_measure_exact=grid.inner_measure(cfg.h0),
+        localization_deficit=deficit,
+        ks_density=ks_density,
+        warnings=coded,
+    )
 
 
 def density_limit(metric_map, grid, cfg):
@@ -151,8 +163,8 @@ def density_limit(metric_map, grid, cfg):
     Returns (node_indices, density) where density[i] belongs to
     grid.nodes[node_indices[i]].
     """
-    report = ks_energy(metric_map, grid, cfg, keep_fields=True)
-    return report.mask_indices, report.ks_density
+    ks = ks_energy(metric_map, grid, cfg, keep_fields=True)
+    return ks.mask_indices, ks.ks_density
 
 
 def _oscillates(seq, rtol=1e-9):

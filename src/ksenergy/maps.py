@@ -55,10 +55,6 @@ class ComposedField:
     grid: DomainGrid
     values: np.ndarray  # (N,) at grid nodes
 
-    def evaluate_at(self, x):
-        """Analytic evaluation away from the grid (no interpolation)."""
-        return self.metric_map.target.distance(self.metric_map.eval(x), self.anchor)
-
 
 def compose_distance(metric_map, anchor, grid):
     """Build the composed field x -> d(u(x), anchor) cached at grid nodes."""
@@ -68,6 +64,42 @@ def compose_distance(metric_map, anchor, grid):
     return ComposedField(metric_map=metric_map, anchor=anchor, grid=grid, values=values)
 
 
+@dataclass(frozen=True)
+class Stencil:
+    """u at a block of points x (N, n) and at x +- delta * e_i, one (N, rep_dim) array per i."""
+
+    u0: np.ndarray
+    plus: list
+    minus: list
+
+
+def eval_stencil(metric_map, points, delta, grid=None):
+    """Evaluate the map at `points` and at the central-difference stencil around them.
+
+    Raises StencilRangeError for a non-positive step, or when the stencil
+    leaves the evaluable region: the grid's box grown by the map's margin
+    (not checked without a grid).
+    """
+    if not delta > 0:
+        raise StencilRangeError(f"fd step must be positive, got {delta}")
+    if grid is not None:
+        lo = grid.lower - metric_map.margin
+        hi = grid.upper + metric_map.margin
+        if np.any(points - delta < lo) or np.any(points + delta > hi):
+            raise StencilRangeError(
+                f"fd stencil of width {delta} leaves the evaluable region for some points"
+            )
+    n = points.shape[1]
+    u0 = metric_map.eval(points)
+    plus, minus = [], []
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = delta
+        plus.append(metric_map.eval(points + step))
+        minus.append(metric_map.eval(points - step))
+    return Stencil(u0, plus, minus)
+
+
 def fd_gradient(composed, x, delta):
     """Central-difference gradient of a composed field at point(s) x.
 
@@ -75,27 +107,16 @@ def fd_gradient(composed, x, delta):
     StencilRangeError when the stencil leaves the evaluable region (domain
     box grown by the map's margin).
     """
-    if delta <= 0:
-        raise StencilRangeError(f"fd step must be positive, got {delta}")
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    g = composed.grid
-    margin = composed.metric_map.margin
-    lo = g.lower - margin
-    hi = g.upper + margin
-    if np.any(pts - delta < lo) or np.any(pts + delta > hi):
-        raise StencilRangeError(
-            f"stencil of width {delta} leaves the evaluable region at some of {pts!r}"
-        )
-    n = g.dim
+    stencil = eval_stencil(composed.metric_map, pts, delta, composed.grid)
+    distance = composed.metric_map.target.distance
     out = np.empty(pts.shape, dtype=np.float64)
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = delta
-        out[:, i] = (composed.evaluate_at(pts + step) - composed.evaluate_at(pts - step)) / (
-            2.0 * delta
-        )
+    for i in range(pts.shape[1]):
+        fp = distance(stencil.plus[i], composed.anchor)
+        fm = distance(stencil.minus[i], composed.anchor)
+        out[:, i] = (fp - fm) / (2.0 * delta)
     return out[0] if single else out
 
 
@@ -113,6 +134,17 @@ def _parse_matrix(text):
     if mat.ndim != 2:
         raise ConfigError(f"malformed matrix spec {text!r}")
     return mat
+
+
+def _spec_floats(spec, text, count=None):
+    """Comma-separated floats of a map spec's argument (`count` of them, when given)."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"malformed map spec {spec!r}") from exc
+    if count is not None and len(values) != count:
+        raise ConfigError(f"map spec {spec!r} takes {count} number(s)")
+    return values
 
 
 def make_map(spec, space, domain_dim):
@@ -133,7 +165,7 @@ def make_map(spec, space, domain_dim):
         return MetricMap(space, lambda x: np.array(x, dtype=np.float64, copy=True), "identity")
 
     if name == "constant":
-        point = space.dense_point(0) if arg is None else np.array([float(v) for v in arg.split(",")])
+        point = space.dense_point(0) if arg is None else np.array(_spec_floats(spec, arg))
         point = space.validate_point(point)
 
         def const_eval(x, point=point):
@@ -157,7 +189,7 @@ def make_map(spec, space, domain_dim):
     if name == "winding":
         if not isinstance(space, CircleSpace):
             raise ConfigError("winding maps into the circle target only")
-        k = float(arg) if arg is not None else 2.0
+        k = _spec_floats(spec, arg, 1)[0] if arg is not None else 2.0
         return MetricMap(
             space,
             lambda x, k=k: (k * x[..., :1]) % TAU,
@@ -182,7 +214,7 @@ def make_map(spec, space, domain_dim):
             raise ConfigError("swirl maps into euclidean:2 only")
         if domain_dim != 2:
             raise ConfigError("swirl is defined on 2-d domains")
-        a = float(arg) if arg is not None else 0.3
+        a = _spec_floats(spec, arg, 1)[0] if arg is not None else 0.3
 
         def swirl_eval(x, a=a):
             return np.stack(

@@ -4,16 +4,17 @@ Each runner returns a JSON-ready dict (reports) plus optional CSV tables;
 the echoed configuration block is sufficient to reproduce the run.
 """
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .directional import rep_energies
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteResultError
 from .grid import build_grid
 from .ks import ks_energy
-from .maps import make_map
+from .maps import _parse_matrix, make_map
 from .oracles import linear_euclidean_density, maxnorm_counterexample_constants
 from .spaces import make_space
 
@@ -51,38 +52,85 @@ def _require_sphere(problem):
         )
 
 
-def _base_report(problem, cfg, subcommand):
-    return {
+# the KS route's report block; run_ks alone adds inner_measure_exact
+_KS_KEYS = (
+    "h_values",
+    "h_integrals",
+    "ks_energy",
+    "ks_order",
+    "ks_error_estimate",
+    "mask_measure",
+    "domain_measure",
+    "localization_deficit",
+)
+
+
+def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep=None, empty_mask=False,
+            warnings=()):
+    """The one report schema every runner fills in.
+
+    The header echoes the run and its config. `ks` contributes `ks_keys` of
+    its result and leads the coded warnings with its own (which include
+    `empty_mask`); without it, `empty_mask` leads when set. `rep` (a
+    RepEnergies) contributes the directional block and, when the 2K probe
+    moved the energy, `under_truncation`. The runner's own `values` and
+    `warnings` come last, and `timing.total_s` is measured from `t0`. A
+    non-finite report number (say g**p overflowing at a large p) is a
+    NonFiniteResultError: JSON has no such numbers.
+    """
+    report = {
         "schema_version": 1,
         "subcommand": subcommand,
         "run": problem.echo(),
         "config": cfg.to_dict(),
-        "warnings": [],
-        "timing": {},
     }
+    if ks is not None:
+        report.update({key: getattr(ks, key) for key in ks_keys})
+    if rep is not None:
+        report.update(
+            {
+                "rep_energy_sphere": rep.energy_sphere,
+                "rep_energy_ball": rep.energy_ball,
+                "dense_count": cfg.dense_count,
+                "rep_energy_sphere_doubled": rep.energy_sphere_doubled,
+                "under_truncation": rep.under_truncation,
+            }
+        )
+    report.update(values)
+    for key, value in report.items():
+        numbers = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise NonFiniteResultError(
+                f"map {problem.map_spec!r} into {problem.space_spec} gives a non-finite {key} at p={cfg.p!r}"
+            )
+    coded = list(ks.warnings) if ks is not None else (["empty_mask"] if empty_mask else [])
+    if rep is not None and rep.under_truncation:
+        coded.append("under_truncation")
+    report["warnings"] = coded + list(warnings)
+    report["timing"] = {"total_s": time.perf_counter() - t0}
+    return report
+
+
+def _gap(value, ref, mask_measure):
+    """|value - ref| / max(|ref|, 1e-300), or None on an empty mask (both energies 0: no meaningful gap)."""
+    if not mask_measure:
+        return None
+    return abs(value - ref) / max(abs(ref), 1e-300)
+
+
+def _node_table(grid, idx, **columns):
+    """A per-node CSV table: the coordinates of grid.nodes[idx], then one column per keyword."""
+    header = [f"x{i}" for i in range(grid.dim)] + list(columns)
+    rows = zip(grid.nodes[idx], *columns.values())
+    return [header] + [tuple(float(v) for v in (*node, *vals)) for node, *vals in rows]
 
 
 def run_ks(problem, cfg):
     """ks-energy: per-h integrals and the extrapolated limit."""
     space, metric_map, grid = problem.build()
-    report = _base_report(problem, cfg, "ks-energy")
     t0 = time.perf_counter()
     ks = ks_energy(metric_map, grid, cfg)
-    report.update(
-        {
-            "h_values": ks.h_values,
-            "h_integrals": ks.h_integrals,
-            "ks_energy": ks.ks_energy,
-            "ks_order": ks.ks_order,
-            "ks_error_estimate": ks.ks_error_estimate,
-            "mask_measure": ks.mask_measure,
-            "domain_measure": ks.domain_measure,
-            "inner_measure_exact": ks.inner_measure_exact,
-            "localization_deficit": ks.localization_deficit,
-        }
-    )
-    report["warnings"] = list(ks.warnings)
-    report["timing"]["total_s"] = time.perf_counter() - t0
+    report = _report(problem, cfg, "ks-energy", t0, {}, ks=ks, ks_keys=_KS_KEYS + ("inner_measure_exact",))
     table = [("h", "integral")] + list(zip(ks.h_values, ks.h_integrals))
     return report, {"h_table": table}, ks
 
@@ -94,28 +142,12 @@ def run_rep(problem, cfg, form="both"):
     forms = ("sphere", "ball") if form == "both" else (form,)
     _require_sphere(problem)
     space, metric_map, grid = problem.build()
-    report = _base_report(problem, cfg, "rep-energy")
     t0 = time.perf_counter()
     frag = rep_energies(metric_map, grid, cfg, forms=forms)
-    report.update(
-        {
-            "rep_energy_sphere": frag.energy_sphere,
-            "rep_energy_ball": frag.energy_ball,
-            "mask_measure": frag.mask_measure,
-            "dense_count": cfg.dense_count,
-            "rep_energy_sphere_doubled": frag.energy_sphere_doubled,
-            "under_truncation": frag.under_truncation,
-        }
-    )
-    if not frag.mask_measure:
-        report["warnings"].append("empty_mask")
-    if frag.energy_sphere is not None and frag.energy_ball is not None:
-        ref = max(abs(frag.energy_sphere), 1e-300)
-        # an empty h0 mask makes both energies 0 and their gap meaningless
-        report["sphere_ball_gap"] = abs(frag.energy_sphere - frag.energy_ball) / ref if frag.mask_measure else None
-    if frag.under_truncation:
-        report["warnings"].append("under_truncation")
-    report["timing"]["total_s"] = time.perf_counter() - t0
+    values = {"mask_measure": frag.mask_measure}
+    if form == "both":
+        values["sphere_ball_gap"] = _gap(frag.energy_ball, frag.energy_sphere, frag.mask_measure)
+    report = _report(problem, cfg, "rep-energy", t0, values, rep=frag, empty_mask=not frag.mask_measure)
     return report, {}, frag
 
 
@@ -123,43 +155,19 @@ def run_compare(problem, cfg):
     """compare: both routes on the same map, with the per-node density gap."""
     _require_sphere(problem)
     space, metric_map, grid = problem.build()
-    report = _base_report(problem, cfg, "compare")
     t0 = time.perf_counter()
     mask = grid.inner_mask(cfg.h0)
     ks = ks_energy(metric_map, grid, cfg, mask=mask)
     frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "ball"), mask=mask)
-    ks.rep_energy_sphere = frag.energy_sphere
-    ks.rep_energy_ball = frag.energy_ball
-    ks.rep_density = frag.density_sphere
-    ks.truncation_energy_doubled = frag.energy_sphere_doubled
-    ks.under_truncation = frag.under_truncation
-    gap = ks.relative_gap()
-    report.update(
-        {
-            "h_values": ks.h_values,
-            "h_integrals": ks.h_integrals,
-            "ks_energy": ks.ks_energy,
-            "ks_order": ks.ks_order,
-            "ks_error_estimate": ks.ks_error_estimate,
-            "rep_energy_sphere": frag.energy_sphere,
-            "rep_energy_ball": frag.energy_ball,
-            "relative_gap": gap,
-            "mask_measure": ks.mask_measure,
-            "domain_measure": ks.domain_measure,
-            "localization_deficit": ks.localization_deficit,
-            "dense_count": cfg.dense_count,
-            "rep_energy_sphere_doubled": frag.energy_sphere_doubled,
-            "under_truncation": frag.under_truncation,
-        }
+    gap = _gap(ks.ks_energy, frag.energy_sphere, ks.mask_measure)
+    report = _report(problem, cfg, "compare", t0, {"relative_gap": gap}, ks=ks, rep=frag)
+    table = _node_table(
+        grid,
+        ks.mask_indices,
+        ks_density=ks.ks_density,
+        rep_density=frag.density_sphere,
+        gap=ks.ks_density - frag.density_sphere,
     )
-    report["warnings"] = list(ks.warnings) + (["under_truncation"] if frag.under_truncation else [])
-    report["timing"]["total_s"] = time.perf_counter() - t0
-
-    header = [f"x{i}" for i in range(grid.dim)] + ["ks_density", "rep_density", "gap"]
-    nodes = grid.nodes[ks.mask_indices]
-    table = [header]
-    for node, kd, rd in zip(nodes, ks.ks_density, frag.density_sphere):
-        table.append(tuple(float(c) for c in node) + (float(kd), float(rd), float(kd - rd)))
     return report, {"density_gap": table}, (ks, frag)
 
 
@@ -172,7 +180,6 @@ def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
     if len(problem.lower) != 2:
         raise ConfigError("counterexample requires a 2-d domain")
     space, metric_map, grid = problem.build()
-    report = _base_report(problem, cfg, "counterexample")
     t0 = time.perf_counter()
     frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "frame"))
     oracle_frame, oracle_sphere = maxnorm_counterexample_constants(cfg.p, nodes=oracle_nodes)
@@ -185,47 +192,44 @@ def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
     else:
         # an empty h0 mask makes the densities 0/0, and every quantity derived from them
         sphere_density = frame_density = sphere_gap = frame_gap = strict = None
-        report["warnings"].append("empty_mask")
-    report.update(
-        {
-            "mask_measure": frag.mask_measure,
-            "sphere_density": sphere_density,
-            "frame_density": frame_density,
-            "oracle_sphere_density": oracle_sphere,
-            "oracle_frame_density": oracle_frame,
-            "sphere_oracle_gap": sphere_gap,
-            "frame_oracle_gap": frame_gap,
-            "strict_inequality": strict,
-            "under_truncation": frag.under_truncation,
-        }
+    values = {
+        "mask_measure": frag.mask_measure,
+        "sphere_density": sphere_density,
+        "frame_density": frame_density,
+        "oracle_sphere_density": oracle_sphere,
+        "oracle_frame_density": oracle_frame,
+        "sphere_oracle_gap": sphere_gap,
+        "frame_oracle_gap": frame_gap,
+        "strict_inequality": strict,
+        "under_truncation": frag.under_truncation,
+    }
+    report = _report(problem, cfg, "counterexample", t0, values, empty_mask=not frag.mask_measure,
+                     warnings=["frame_sum_not_larger"] if strict is False else [])
+    table = _node_table(
+        grid, frag.mask_indices, sphere_density=frag.density_sphere, frame_density=frag.density_frame
     )
-    if strict is False:
-        report["warnings"].append("frame_sum_not_larger")
-    report["timing"]["total_s"] = time.perf_counter() - t0
-    header = [f"x{i}" for i in range(grid.dim)] + ["sphere_density", "frame_density"]
-    table = [header]
-    for node, sd, fd in zip(grid.nodes[frag.mask_indices], frag.density_sphere, frag.density_frame):
-        table.append(tuple(float(c) for c in node) + (float(sd), float(fd)))
     return report, {"densities": table}, frag
 
 
-def run_convergence(problem, cfg, sweeps=("h", "K", "sphere", "delta")):
+_SWEEPS = ("h", "K", "sphere", "delta")
+
+
+def run_convergence(problem, cfg, sweeps=_SWEEPS):
     """convergence: parameter-sweep tables for plotting."""
+    unknown = sorted(set(sweeps) - set(_SWEEPS))
+    if unknown:
+        raise ConfigError(f"unknown sweep(s) {unknown}; choose from {', '.join(_SWEEPS)}")
     if set(sweeps) & {"K", "sphere", "delta"}:
         _require_sphere(problem)
     space, metric_map, grid = problem.build()
-    report = _base_report(problem, cfg, "convergence")
     t0 = time.perf_counter()
     mask = grid.inner_mask(cfg.h0)
     tables = {}
 
+    ks = None
     if "h" in sweeps:
         ks = ks_energy(metric_map, grid, cfg, keep_fields=False, mask=mask)
         tables["h_sweep"] = [("h", "integral")] + list(zip(ks.h_values, ks.h_integrals))
-        report["ks_energy"] = ks.ks_energy
-        report["warnings"] = list(ks.warnings)
-    elif not mask.any():
-        report["warnings"].append("empty_mask")
 
     if "K" in sweeps:
         ladder = []
@@ -258,38 +262,26 @@ def run_convergence(problem, cfg, sweeps=("h", "K", "sphere", "delta")):
             rows.append((spacing / j, frag.energy_sphere))
         tables["delta_sweep"] = [("delta", "rep_energy_sphere")] + rows
 
-    report["timing"]["total_s"] = time.perf_counter() - t0
-    report["tables"] = sorted(tables)
+    report = _report(problem, cfg, "convergence", t0, {"tables": sorted(tables)}, ks=ks, ks_keys=("ks_energy",),
+                     empty_mask=not mask.any())
     return report, tables, None
 
 
 def run_oracle(which, p, matrix=None, nodes=None):
     """oracle: reference constants as JSON."""
+    if not math.isfinite(p):
+        raise ConfigError(f"p must be finite, got {p}")
+    report = {"schema_version": 1, "subcommand": "oracle", "which": which, "p": p}
     if which == "maxnorm":
         frame, sphere = maxnorm_counterexample_constants(p, nodes=nodes or 10_000_000)
-        return {
-            "schema_version": 1,
-            "subcommand": "oracle",
-            "which": which,
-            "p": p,
-            "frame_sum": frame,
-            "sphere_average": sphere,
-        }
+        report.update(frame_sum=frame, sphere_average=sphere)
+        return report
     if which == "linear":
         if matrix is None:
             raise ConfigError("oracle linear needs --matrix")
-        from .maps import _parse_matrix
-
         a = _parse_matrix(matrix)
-        out = {
-            "schema_version": 1,
-            "subcommand": "oracle",
-            "which": which,
-            "p": p,
-            "matrix": matrix,
-            "density": linear_euclidean_density(a, p, nodes=nodes or 1_000_000),
-        }
+        report.update(matrix=matrix, density=linear_euclidean_density(a, p, nodes=nodes or 1_000_000))
         if p == 2:
-            out["trace_formula"] = float(np.sum(a * a) / a.shape[1])
-        return out
+            report["trace_formula"] = float(np.sum(a * a) / a.shape[1])
+        return report
     raise ConfigError(f"unknown oracle {which!r}")

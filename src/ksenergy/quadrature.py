@@ -115,12 +115,13 @@ def ball_nodes(n, order=None, seed=0):
 
     For n >= 2 this is Gauss-Legendre in radius (with the r^(n-1) Jacobian
     folded into the weights) tensored with a sphere rule; order = (radial,
-    sphere order). n=1 reduces to Gauss-Legendre on [-1, 1].
+    sphere order). n=1 reduces to Gauss-Legendre on [-1, 1] with order (or
+    its radial entry) nodes.
     """
     if n < 1:
         raise UnsupportedDimensionError(f"ball rules need n >= 1, got n={n}")
     if n == 1:
-        count = int(order) if order is not None else 32
+        count = int(np.atleast_1d(order)[0]) if order is not None else 32
         x, w = leggauss(count)
         return QuadratureRule(nodes=x[:, None], weights=w, kind="ball", normalization=2.0)
     if order is None:

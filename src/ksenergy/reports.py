@@ -9,11 +9,6 @@ def canonical_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
-
-
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

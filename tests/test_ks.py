@@ -127,20 +127,6 @@ class TestDensityLimit:
         assert np.all(dens >= 0.0)
 
 
-def test_report_json_body(unit_grid_16, cfg_small):
-    m = make_map("identity", make_space("euclidean:2"), 2)
-    rep = ks_energy(m, unit_grid_16, cfg_small)
-    body = rep.to_json_dict()
-    assert body["schema_version"] == 1
-    assert body["ks_energy"] == rep.ks_energy
-    assert body["relative_gap"] is None  # no rep side attached yet
-    rep.rep_energy_sphere = rep.ks_energy
-    assert rep.to_json_dict()["relative_gap"] == pytest.approx(0.0, abs=1e-12)
-    import json
-
-    json.dumps(body)  # serializable as-is
-
-
 def test_oscillation_detector():
     assert _oscillates(np.array([1.0, 1.2, 1.1, 1.3]))
     assert not _oscillates(np.array([1.3, 1.2, 1.1, 1.05]))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,11 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ksenergy
 from ksenergy import EnergyConfig, Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
 from ksenergy.cli import main
-from ksenergy.errors import ConfigError, EmptyMaskWarning, NonFiniteResultError
+from ksenergy.errors import ConfigError, EmptyMaskWarning, KSEnergyWarning, NonFiniteResultError
 
 SMALL = dict(lower=(0.0, 0.0), upper=(1.0, 1.0), resolution=(24, 24))
 FAST_CFG = dict(h_count=4, sphere_order=128, ball_order=(8, 64), dense_count=256)
@@ -160,6 +163,7 @@ class TestCli:
         ])
         assert code == 0
         body = json.loads(out.read_text())
+        assert body["schema_version"] == 1
         assert body["relative_gap"] < 0.02
         assert (tmp_path / "r_density_gap.csv").exists()
 
@@ -178,8 +182,37 @@ class TestCli:
             texts.append(json.dumps(body, sort_keys=True))
         assert texts[0] == texts[1]
 
-    def test_config_error_exit_code(self, capsys):
-        assert main(["compare", "--space", "torus", "--json", "/dev/null"]) == 2
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(["compare", "--space", "torus"], id="unknown-space"),
+            pytest.param(["ks-energy", "--resolution", "abc"], id="resolution-text"),
+            pytest.param(["ks-energy", "--lower", "a,b"], id="lower-text"),
+            pytest.param(["ks-energy", "--ball-order", "3"], id="ball-order-one-entry"),
+            pytest.param(["ks-energy", "--ball-order", "0,16"], id="ball-order-zero"),
+            pytest.param(["ks-energy", "--config", "/nonexistent/ksenergy.json"], id="config-missing"),
+            pytest.param(["ks-energy", "--config", "BAD_JSON"], id="config-malformed"),  # a file holding `{bad`
+            pytest.param(["ks-energy", "--space", "circle", "--map", "winding:abc"], id="winding-text"),
+            pytest.param(["ks-energy", "--map", "swirl:x"], id="swirl-text"),
+            pytest.param(["ks-energy", "--map", "constant:a,b"], id="constant-text"),
+            pytest.param(["ks-energy", "--p", "nan"], id="p-nan"),
+            pytest.param(["ks-energy", "--p", "inf"], id="p-inf"),
+            pytest.param(["ks-energy", "--h0", "nan"], id="h0-nan"),
+            pytest.param(["oracle", "--which", "maxnorm", "--p", "nan"], id="oracle-p-nan"),
+            pytest.param(["rep-energy", "--delta=-0.01"], id="delta-negative"),
+            pytest.param(["rep-energy", "--delta", "0"], id="delta-zero"),
+            pytest.param(["rep-energy", "--delta", "inf"], id="delta-inf"),
+            pytest.param(["rep-energy", "--sphere-order", "0"], id="sphere-order-zero"),
+            pytest.param(["convergence", "--resolution", "8", "--sweep", "foo"], id="sweep-unknown"),
+            pytest.param(["convergence", "--resolution", "8", "--sweep", "h,"], id="sweep-empty-name"),
+        ],
+    )
+    def test_config_error_exit_code(self, capsys, tmp_path, args):
+        """Malformed input exits 2 with one JSON ConfigError on stderr, before any numerics."""
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        args = [str(bad) if a == "BAD_JSON" else a for a in args]
+        assert main([*args, "--json", "/dev/null"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
 
@@ -203,6 +236,15 @@ class TestCli:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "NonFiniteResultError"
         assert "linear:1e200,0;0,1" in err["error"]["message"]
+
+    def test_non_finite_report_number_is_structured_error(self, capsys):
+        """Finite moduli g whose g**p overflows: exit 1 with one JSON error, no report."""
+        args = ["rep-energy", "--map", "linear:1,0;0,2", "--p", "2000", "--resolution", "8", "--h-count", "3",
+                "--K", "32", "--sphere-order", "16", "--ball-order", "4,16"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "NonFiniteResultError"
 
     def test_non_finite_scan_without_probe_or_refinement(self):
         cfg = EnergyConfig(check_truncation=False, refine_stages=0, dense_count=32, sphere_order=16)
@@ -300,3 +342,76 @@ class TestCli:
         body = json.loads(out.read_text())
         assert body["run"]["resolution"] == [12, 12]
         assert body["config"]["dense_count"] == 64
+
+
+# Free text has no digits, so it never sizes a run: every number a fuzzed run
+# sees comes from the small ranges below.
+FREE_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=12)
+# (space, map, lower, upper); no 3-d box: there the sphere sweep's fixed
+# orders (up to 256 x 512 directions) make one run cost seconds and 100s of MB
+SCENARIOS = [
+    (space, map_spec, lower, upper)
+    for space, map_spec in [
+        ("euclidean:2", "identity"), ("euclidean:2", "linear:1,0;0,2"), ("euclidean:2", "swirl:0.3"),
+        ("euclidean:2", "constant"), ("euclidean:2", "linear:1e200,0;0,1"), ("max_norm_plane", "identity"),
+        ("circle", "winding:2"), ("q:2:1", "qsplit"), ("q:2:2", "constant"),
+    ]
+    for lower, upper in [("0,0", "1,1"), ("-1,0.5", "0,1")]
+] + [("euclidean:1", "identity", "0", "1"), ("circle", "winding:2", "0", "1")]
+
+
+@st.composite
+def cli_args(draw):
+    """A mostly valid flag set: each flag is wild one time in twenty.
+
+    Wild is a listed bad value, or free text for a string flag, or any float
+    for a float flag.
+    """
+
+    def pick(usual, *wild, text=True):
+        if draw(st.integers(0, 19)):
+            return draw(usual)
+        return draw(st.one_of(*wild, FREE_TEXT) if text else st.one_of(*wild))
+
+    subcommand = draw(st.sampled_from(["ks-energy", "rep-energy", "compare", "counterexample", "convergence"]))
+    usual = SCENARIOS
+    if subcommand == "counterexample":
+        usual = [s for s in SCENARIOS if s[:2] == ("max_norm_plane", "identity")]
+    space, map_spec, lower, upper = pick(st.sampled_from(usual), st.sampled_from(SCENARIOS), text=False)
+    flags = {
+        "--space": pick(st.just(space), st.sampled_from(["euclidean:0", "q:2", "torus"])),
+        "--map": pick(st.just(map_spec), st.sampled_from(["winding:x", "swirl:", "constant:a,b", "linear:1,0"])),
+        "--resolution": pick(st.sampled_from(["2", "5", "8", "6,4"]), st.sampled_from(["1", "0", "8,8,8", "4,-4"])),
+        "--lower": pick(st.just(lower), st.sampled_from(["nan,0", "1,1", "0"])),
+        "--upper": pick(st.just(upper), st.sampled_from(["1,inf", "0,0"])),
+        "--ball-order": pick(st.just("4,16"), st.sampled_from(["4", "4,16,4", "0,16", "4,0", "-1,16"])),
+        "--p": pick(st.floats(1.0, 4.0), st.floats(), text=False),
+        "--h0": pick(st.floats(0.01, 0.3), st.floats(), text=False),
+        "--K": pick(st.integers(1, 32), st.integers(-2, 0), text=False),
+        "--sphere-order": pick(st.integers(1, 16), st.integers(-2, 0), text=False),
+        "--delta": pick(st.none(), st.floats(1e-4, 0.1), st.floats(), text=False),
+    }
+    if subcommand == "convergence":
+        flags["--sweep"] = pick(st.sampled_from(["h", "K", "h,K", "sphere", "delta", "h,K,sphere,delta"]),
+                                st.sampled_from(["", "h,,K", "foo"]))
+    argv = [subcommand, "--h-count", "3"] + [f"{k}={v}" for k, v in flags.items() if v is not None]
+    return argv + (["--strict"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cli_args())
+def test_cli_fuzz_exits_with_one_json_object(argv):
+    """Any argparse-valid flag set exits 0-3 with exactly one JSON object on each non-empty stream."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # as on the command line: each package warning is also a coded `warnings` entry
+        warnings.simplefilter("ignore", KSEnergyWarning)
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    streams = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+    for name, text in streams.items():
+        if text:
+            assert isinstance(json.loads(text), dict), (argv, name, text)
+    # stdout holds the report (exit 0, or 3 under --strict); stderr the error
+    assert bool(streams["stdout"]) == (code in (0, 3)), (argv, streams)
+    assert bool(streams["stderr"]) == (code != 0), (argv, streams)

@@ -71,6 +71,10 @@ class TestBallRules:
         assert ball_nodes(3).weights.sum() == pytest.approx(4 * math.pi / 3, abs=1e-12)
         assert ball_nodes(1).weights.sum() == pytest.approx(2.0, abs=1e-12)
 
+    def test_one_d_takes_the_radial_entry_of_a_pair(self):
+        # EnergyConfig.ball_order is a (radial, angular) pair in every dimension
+        assert np.array_equal(ball_nodes(1, (8, 64)).nodes, ball_nodes(1, 8).nodes)
+
     def test_radial_moment(self):
         rule = ball_nodes(2)
         assert rule.integrate(np.sum(rule.nodes**2, axis=1)) == pytest.approx(
