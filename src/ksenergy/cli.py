@@ -5,8 +5,15 @@ oracle. Reports are canonical JSON (sorted keys, repr floats); sweep tables
 and density fields go to CSV. Identical configuration and seed produce
 byte-identical JSON regardless of --workers, timing fields aside.
 
-Exit codes: 0 success, 1 runtime error, 2 configuration error, 3 numerical
-warnings promoted to failure under --strict.
+--config FILE holds a JSON object of flag values. Keys are flag names
+without "--" ("K", "h-count", "ball-order"); values are parsed exactly like
+the same flag on the command line (true gives a bare flag such as
+--strict, false or null leaves the flag out); command-line flags win over
+the file.
+
+Exit codes: 0 success, 1 runtime error, 2 configuration error (any bad
+flag, config file or domain, before any numerics), 3 numerical warnings
+promoted to failure under --strict. Errors are one JSON object on stderr.
 """
 
 import argparse
@@ -22,8 +29,30 @@ from .pipeline import Problem, run_compare, run_convergence, run_counterexample,
 from .reports import canonical_json, write_csv
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises each error as a ConfigError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _numbers(kind, count=None):
+    """argparse type: comma-separated numbers of one kind, exactly `count` of them when given."""
+
+    def parse(text):
+        try:
+            values = tuple(kind(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed {kind.__name__} list {text!r}") from None
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"needs {count} comma-separated entries, got {text!r}")
+        return values
+
+    return parse
+
+
 def _add_common(parser):
-    parser.add_argument("--config", help="JSON file with defaults for any flag")
+    parser.add_argument("--config", help="JSON file of flag values; command-line flags win")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--strict", action="store_true", help="promote numerical warnings to exit 3")
@@ -35,9 +64,9 @@ def _add_problem(parser):
     parser.add_argument("--space", default="euclidean:2", help="euclidean:m | max_norm_plane | circle | q:Q:m")
     parser.add_argument("--map", dest="map_spec", default="identity",
                         help="identity | constant[:v,..] | linear:r;r | winding:k | qsplit | swirl:a")
-    parser.add_argument("--lower", default="0,0")
-    parser.add_argument("--upper", default="1,1")
-    parser.add_argument("--resolution", default="64")
+    parser.add_argument("--lower", type=_numbers(float), default="0,0")
+    parser.add_argument("--upper", type=_numbers(float), default="1,1")
+    parser.add_argument("--resolution", type=_numbers(int), default="64", help="per axis, or one for all")
 
 
 def _add_energy(parser):
@@ -45,24 +74,34 @@ def _add_energy(parser):
     parser.add_argument("--h0", type=float, default=0.05)
     parser.add_argument("--h-count", type=int, default=6)
     parser.add_argument("--sphere-order", type=int, default=None)
-    parser.add_argument("--ball-order", default=None, help="radial,angular")
+    parser.add_argument("--ball-order", type=_numbers(int, 2), default=None, help="radial,angular")
     parser.add_argument("--K", dest="dense_count", type=int, default=512)
     parser.add_argument("--delta", type=float, default=None, help="fd step (default: spacing/8)")
     parser.add_argument("--no-truncation-check", action="store_true")
 
 
+# Each subcommand's action maps the parsed flags to (report, tables). The
+# runners are looked up when an action runs, so a patched module attribute
+# (say cli.run_compare) is the one called.
+_ENERGY_SUBCOMMANDS = [
+    ("ks-energy", "ball-average energies over the h ladder, extrapolated",
+     lambda args, problem, cfg: run_ks(problem, cfg)),
+    ("rep-energy", "directional representation energy",
+     lambda args, problem, cfg: run_rep(problem, cfg, form=args.form)),
+    ("compare", "both routes on the same map, with the density gap field",
+     lambda args, problem, cfg: run_compare(problem, cfg)),
+    ("counterexample", "frame sum vs sphere average on the max-norm identity",
+     lambda args, problem, cfg: run_counterexample(problem, cfg)),
+    ("convergence", "h / K / sphere-order / delta sweep tables",
+     lambda args, problem, cfg: run_convergence(problem, cfg, sweeps=args.sweep)),
+]
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="ksenergy", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="ksenergy", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, helptext in [
-        ("ks-energy", "ball-average energies over the h ladder, extrapolated"),
-        ("rep-energy", "directional representation energy"),
-        ("compare", "both routes on the same map, with the density gap field"),
-        ("counterexample", "frame sum vs sphere average on the max-norm identity"),
-        ("convergence", "h / K / sphere-order / delta sweep tables"),
-    ]:
+    for name, helptext, runner in _ENERGY_SUBCOMMANDS:
         aliases = ["frame-vs-sphere"] if name == "counterexample" else []
         p = sub.add_parser(name, help=helptext, aliases=aliases)
         _add_common(p)
@@ -71,7 +110,9 @@ def build_parser():
         if name == "rep-energy":
             p.add_argument("--form", choices=["sphere", "ball", "both"], default="both")
         if name == "convergence":
-            p.add_argument("--sweep", default="h,K,sphere,delta")
+            p.add_argument("--sweep", type=lambda text: tuple(s.strip() for s in text.split(",")),
+                           default="h,K,sphere,delta")
+        p.set_defaults(run=lambda args, runner=runner: runner(args, _problem(args), _energy_config(args))[:2])
 
     p = sub.add_parser("oracle", help="print reference constants")
     _add_common(p)
@@ -79,64 +120,43 @@ def build_parser():
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--matrix", default=None)
     p.add_argument("--nodes", type=int, default=None)
+    p.set_defaults(run=lambda args: (run_oracle(args.which, args.p, matrix=args.matrix, nodes=args.nodes), {}))
     return parser
 
 
-def _numbers(text, kind, flag):
-    """Comma-separated numbers of one kind; malformed text is a ConfigError."""
+def _config_tokens(path):
+    """A --config file's entries as flags: {"K": 64, "strict": true} gives ["--K=64", "--strict"]."""
     try:
-        return tuple(kind(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"malformed {flag} {text!r}") from exc
-
-
-def _resolution(text, dim):
-    parts = _numbers(text, int, "--resolution")
-    return parts if len(parts) > 1 else parts * dim
-
-
-_CONFIG_ALIASES = {"K": "dense_count", "map": "map_spec", "json": "json_out", "csv": "csv_prefix"}
-
-
-def _apply_config_file(args):
-    """File values fill flags the user left at their parser defaults."""
-    if not getattr(args, "config", None):
-        return args
-    try:
-        with open(args.config) as fh:
-            defaults = json.load(fh)
+        with open(path) as fh:
+            entries = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-    if not isinstance(defaults, dict):
-        raise ConfigError(f"config file {args.config!r} must hold a JSON object")
-    parser_defaults = vars(build_parser().parse_args([args.subcommand] + _required_stub(args)))
-    for key, value in defaults.items():
-        attr = _CONFIG_ALIASES.get(key, key.replace("-", "_"))
-        if not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
-    return args
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    if not isinstance(entries, dict):
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
+    if "config" in entries:
+        raise ConfigError(f"config file {path!r} names another config file")
+    return [f"--{key}" if value is True else f"--{key}={value}"
+            for key, value in entries.items() if value is not False and value is not None]
 
 
-def _required_stub(args):
-    if args.subcommand == "oracle":
-        return ["--which", args.which]
-    return []
+def parse_args(argv=None):
+    """Parse the command line, reading a --config file's entries as flags typed before it."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    prescan = _Parser(prog="ksenergy", add_help=False)
+    prescan.add_argument("--config")
+    config = prescan.parse_known_args(argv[1:])[0].config
+    if config:
+        argv[1:1] = _config_tokens(config)
+    return build_parser().parse_args(argv)
 
 
 def _energy_config(args):
-    ball_order = None
-    if args.ball_order:
-        ball_order = _numbers(args.ball_order, int, "--ball-order")
-        if len(ball_order) != 2:
-            raise ConfigError(f"--ball-order takes radial,angular, got {args.ball_order!r}")
     return EnergyConfig(
         p=args.p,
         h0=args.h0,
         h_count=args.h_count,
         sphere_order=args.sphere_order,
-        ball_order=ball_order,
+        ball_order=args.ball_order,
         dense_count=args.dense_count,
         fd_step=args.delta,
         check_truncation=not args.no_truncation_check,
@@ -146,14 +166,13 @@ def _energy_config(args):
 
 
 def _problem(args):
-    lower = _numbers(args.lower, float, "--lower")
-    upper = _numbers(args.upper, float, "--upper")
+    resolution = args.resolution * len(args.lower) if len(args.resolution) == 1 else args.resolution
     return Problem(
         space_spec=args.space,
         map_spec=args.map_spec,
-        lower=lower,
-        upper=upper,
-        resolution=_resolution(args.resolution, len(lower)),
+        lower=args.lower,
+        upper=args.upper,
+        resolution=resolution,
     )
 
 
@@ -169,37 +188,13 @@ def _emit(args, report, tables):
             write_csv(f"{args.csv_prefix}_{name}.csv", table[0], table[1:])
 
 
-def _run(args):
-    """Run the parsed subcommand; returns (report, tables)."""
-    if args.subcommand == "oracle":
-        return run_oracle(args.which, args.p, matrix=args.matrix, nodes=args.nodes), {}
-    problem = _problem(args)
-    cfg = _energy_config(args)
-    if args.subcommand == "ks-energy":
-        report, tables, _ = run_ks(problem, cfg)
-    elif args.subcommand == "rep-energy":
-        report, tables, _ = run_rep(problem, cfg, form=args.form)
-    elif args.subcommand == "compare":
-        report, tables, _ = run_compare(problem, cfg)
-    elif args.subcommand in ("counterexample", "frame-vs-sphere"):
-        report, tables, _ = run_counterexample(problem, cfg)
-    elif args.subcommand == "convergence":
-        sweeps = tuple(s.strip() for s in args.sweep.split(","))
-        report, tables, _ = run_convergence(problem, cfg, sweeps=sweeps)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown subcommand {args.subcommand}")
-    return report, tables
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args)
+        args = parse_args(argv)
         # a non-finite report number is a NonFiniteResultError (pipeline._report),
         # so numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
-            report, tables = _run(args)
+            report, tables = args.run(args)
     except ConfigError as exc:
         sys.stderr.write(canonical_json({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2

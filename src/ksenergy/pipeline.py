@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .directional import rep_energies
-from .errors import ConfigError, NonFiniteResultError
+from .errors import ConfigError, InvalidDomainError, NonFiniteResultError
 from .grid import build_grid
 from .ks import ks_energy
 from .maps import _parse_matrix, make_map
@@ -28,7 +28,11 @@ class Problem:
     resolution: tuple
 
     def build(self):
-        grid = build_grid(np.array(self.lower), np.array(self.upper), self.resolution)
+        """(space, map, grid); a bad box or resolution is a ConfigError, raised before any numerics."""
+        try:
+            grid = build_grid(np.array(self.lower), np.array(self.upper), self.resolution)
+        except InvalidDomainError as exc:
+            raise ConfigError(str(exc)) from exc
         space = make_space(self.space_spec)
         metric_map = make_map(self.map_spec, space, grid.dim)
         return space, metric_map, grid
@@ -72,11 +76,12 @@ def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep
     The header echoes the run and its config. `ks` contributes `ks_keys` of
     its result and leads the coded warnings with its own (which include
     `empty_mask`); without it, `empty_mask` leads when set. `rep` (a
-    RepEnergies) contributes the directional block and, when the 2K probe
-    moved the energy, `under_truncation`. The runner's own `values` and
-    `warnings` come last, and `timing.total_s` is measured from `t0`. A
-    non-finite report number (say g**p overflowing at a large p) is a
-    NonFiniteResultError: JSON has no such numbers.
+    RepEnergies) contributes the directional block. A true `under_truncation`
+    (the 2K probe moved the energy), from `rep` or the runner's `values`,
+    adds its coded entry; the runner's own `warnings` come last, and
+    `timing.total_s` is measured from `t0`. A non-finite report number (say
+    g**p overflowing at a large p) is a NonFiniteResultError: JSON has no
+    such numbers.
     """
     report = {
         "schema_version": 1,
@@ -104,7 +109,7 @@ def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep
                 f"map {problem.map_spec!r} into {problem.space_spec} gives a non-finite {key} at p={cfg.p!r}"
             )
     coded = list(ks.warnings) if ks is not None else (["empty_mask"] if empty_mask else [])
-    if rep is not None and rep.under_truncation:
+    if report.get("under_truncation"):
         coded.append("under_truncation")
     report["warnings"] = coded + list(warnings)
     report["timing"] = {"total_s": time.perf_counter() - t0}

@@ -6,7 +6,6 @@ use product rules that are exact on low-degree polynomials; n > 3 falls back
 to a seeded scrambled-Sobol construction so reports stay reproducible.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -42,8 +41,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str  # "sphere" | "ball"
-    normalization: float
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=np.float64))
@@ -107,7 +104,7 @@ def sphere_nodes(n, order=None, seed=0):
         g = _gaussian_from_uniform(u)
         nodes = g / np.linalg.norm(g, axis=1, keepdims=True)
         weights = np.full(count, 1.0 / count)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="sphere", normalization=1.0)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def ball_nodes(n, order=None, seed=0):
@@ -123,7 +120,7 @@ def ball_nodes(n, order=None, seed=0):
     if n == 1:
         count = int(np.atleast_1d(order)[0]) if order is not None else 32
         x, w = leggauss(count)
-        return QuadratureRule(nodes=x[:, None], weights=w, kind="ball", normalization=2.0)
+        return QuadratureRule(nodes=x[:, None], weights=w)
     if order is None:
         radial, sphere_order = 16, {2: 192, 3: (16, 32)}.get(n, DEFAULT_QMC_COUNT)
     else:
@@ -135,9 +132,7 @@ def ball_nodes(n, order=None, seed=0):
     surface = sphere_surface_area(n)
     nodes = (r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n)
     weights = (w * r ** (n - 1))[:, None] * (surface * sphere.weights)[None, :]
-    return QuadratureRule(
-        nodes=nodes, weights=weights.ravel(), kind="ball", normalization=unit_ball_volume(n)
-    )
+    return QuadratureRule(nodes=nodes, weights=weights.ravel())
 
 
 def _gaussian_from_uniform(u):
@@ -225,11 +220,3 @@ def _solve_order(h1, h2, h3, ratio):
     q = 0.5 * (lo + hi)
     return np.where(bad, np.nan, q)
 
-
-def rule_to_csv(rule, path):
-    """Dump a rule's nodes and weights for inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(rule.dim)] + ["weight"])
-        for node, w in zip(rule.nodes, rule.weights):
-            writer.writerow([repr(float(c)) for c in node] + [repr(float(w))])

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -66,6 +67,14 @@ class TestRunners:
         assert lines[0] == "x0,x1,sphere_density,frame_density"
         body = json.loads((tmp_path / "fs.json").read_text())
         assert len(lines) - 1 == int(round(body["mask_measure"] * 12**2))
+
+    def test_counterexample_under_truncation_is_coded(self):
+        """The 2K probe flag of counterexample gets its coded warning, so --strict sees it."""
+        problem = Problem("max_norm_plane", "identity", (0.0, 0.0), (1.0, 1.0), (8, 8))
+        cfg = EnergyConfig(dense_count=1, refine_stages=0, sphere_order=16, h_count=3)
+        report, _, _ = run_counterexample(problem, cfg, oracle_nodes=100_000)
+        assert report["under_truncation"] is True
+        assert report["warnings"] == ["under_truncation", "frame_sum_not_larger"]
 
     def test_counterexample_rejects_wrong_map(self):
         with pytest.raises(ConfigError):
@@ -191,7 +200,21 @@ class TestCli:
             pytest.param(["ks-energy", "--ball-order", "3"], id="ball-order-one-entry"),
             pytest.param(["ks-energy", "--ball-order", "0,16"], id="ball-order-zero"),
             pytest.param(["ks-energy", "--config", "/nonexistent/ksenergy.json"], id="config-missing"),
-            pytest.param(["ks-energy", "--config", "BAD_JSON"], id="config-malformed"),  # a file holding `{bad`
+            pytest.param(["ks-energy", "--config", "FILE:{bad"], id="config-malformed"),
+            pytest.param(["ks-energy", "--config", 'FILE:{"K": "abc"}'], id="config-int-text"),
+            pytest.param(["ks-energy", "--config", 'FILE:{"dense_count": 64}'], id="config-dest-spelling"),
+            pytest.param(["ks-energy", "--config", 'FILE:{"config": "x.json"}'], id="config-nested"),
+            pytest.param(["ks-energy", "--config", 'FILE:{"strict": "yes"}'], id="config-flag-text"),
+            pytest.param(["ks-energy", "--config", "FILE:[1, 2]"], id="config-not-object"),
+            pytest.param(["ks-energy", "--K", "abc"], id="K-text"),
+            pytest.param(["ks-energy", "--p", "abc"], id="p-text"),
+            pytest.param(["ks-energy", "--workers", "x"], id="workers-text"),
+            pytest.param(["ks-energy", "--no-such-flag", "1"], id="unknown-flag"),
+            pytest.param(["no-such-subcommand"], id="unknown-subcommand"),
+            pytest.param(["ks-energy", "--resolution", "1"], id="resolution-one"),
+            pytest.param(["ks-energy", "--lower", "1,1", "--upper", "0,0"], id="box-inverted"),
+            pytest.param(["ks-energy", "--lower", "0,0,0", "--upper", "1,1"], id="box-dimension-mismatch"),
+            pytest.param(["ks-energy", "--resolution", "8,8,8"], id="resolution-dimension-mismatch"),
             pytest.param(["ks-energy", "--space", "circle", "--map", "winding:abc"], id="winding-text"),
             pytest.param(["ks-energy", "--map", "swirl:x"], id="swirl-text"),
             pytest.param(["ks-energy", "--map", "constant:a,b"], id="constant-text"),
@@ -208,13 +231,19 @@ class TestCli:
         ],
     )
     def test_config_error_exit_code(self, capsys, tmp_path, args):
-        """Malformed input exits 2 with one JSON ConfigError on stderr, before any numerics."""
-        bad = tmp_path / "bad.json"
-        bad.write_text("{bad")
-        args = [str(bad) if a == "BAD_JSON" else a for a in args]
+        """Malformed input exits 2 with one JSON ConfigError on stderr, before any numerics.
+
+        An argument `FILE:text` stands for the path of a config file holding `text`.
+        """
+        cfg_file = tmp_path / "cfg.json"
+        for arg in args:
+            if arg.startswith("FILE:"):
+                cfg_file.write_text(arg[len("FILE:"):])
+        args = [str(cfg_file) if a.startswith("FILE:") else a for a in args]
         assert main([*args, "--json", "/dev/null"]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "ConfigError"
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ConfigError"
 
     def test_h_count_below_three_is_config_error(self, capsys):
         assert main(["ks-energy", "--h-count", "2", "--resolution", "8", "--json", "/dev/null"]) == 2
@@ -343,6 +372,31 @@ class TestCli:
         assert body["run"]["resolution"] == [12, 12]
         assert body["config"]["dense_count"] == 64
 
+    def test_config_file_values_parse_like_flags(self, tmp_path, capsys):
+        """{"p": "2"} in a file, 2 as a JSON number, and --p 2 give one report; a typed flag beats the file."""
+        args = ["ks-energy", "--resolution", "8", "--h-count", "3", "--ball-order", "4,16"]
+        reports = []
+        for entries, extra in [({}, ["--p", "2"]), ({"p": "2"}, []), ({"p": 2}, []), ({"p": 3, "strict": False}, ["--p", "2"])]:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(entries))
+            assert main([*args, "--config", str(cfg_file), *extra]) == 0
+            body = json.loads(capsys.readouterr().out)
+            body.pop("timing")
+            reports.append(body)
+        assert reports[0]["config"]["p"] == 2.0
+        assert all(r == reports[0] for r in reports)
+
+    def test_config_file_true_is_a_bare_flag(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"strict": True, "no-truncation-check": True, "h0": 0.49}))
+        args = ["ks-energy", "--resolution", "8", "--h-count", "3", "--ball-order", "4,16", "--config", str(cfg_file)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyMaskWarning)
+            assert main(args) == 3
+        body = json.loads(capsys.readouterr().out)
+        assert body["config"]["check_truncation"] is False
+        assert body["warnings"] == ["empty_mask"]
+
 
 # Free text has no digits, so it never sizes a run: every number a fuzzed run
 # sees comes from the small ranges below.
@@ -360,12 +414,26 @@ SCENARIOS = [
 ] + [("euclidean:1", "identity", "0", "1"), ("circle", "winding:2", "0", "1")]
 
 
+# text that int() or float() rejects, as flag values (free text below adds more)
+NOT_INT = st.sampled_from(["abc", "1.5", "1e3", "0x10", "", "2,3"])
+NOT_FLOAT = st.sampled_from(["abc", "1,5", "", "1..2", "--1"])
+# --config entries that are no flag, or values no flag takes: each is a ConfigError
+WILD_ENTRIES = st.one_of(
+    st.sampled_from([("torus", 1), ("dense_count", 64), ("h_count", 3), ("map_spec", "identity"),
+                     ("strict", "yes"), ("config", "x.json")]),
+    st.tuples(st.sampled_from(["p", "K", "space", "lower", "ball-order"]), st.sampled_from([[4, 16], {"p": 2}, True])),
+)
+
+
 @st.composite
 def cli_args(draw):
-    """A mostly valid flag set: each flag is wild one time in twenty.
+    """(argv, entries, full_argv): a mostly valid flag set, part of it moved into --config entries.
 
-    Wild is a listed bad value, or free text for a string flag, or any float
-    for a float flag.
+    Each flag is wild one time in twenty: a listed bad value, or free text
+    for a string flag, or any float or number-free text for a float flag. A
+    random subset of the flags moves from `full_argv` into `entries` (None
+    when none moves), each as its string or, for a number, as either; one
+    entry in twenty is replaced by a wild one.
     """
 
     def pick(usual, *wild, text=True):
@@ -385,33 +453,72 @@ def cli_args(draw):
         "--lower": pick(st.just(lower), st.sampled_from(["nan,0", "1,1", "0"])),
         "--upper": pick(st.just(upper), st.sampled_from(["1,inf", "0,0"])),
         "--ball-order": pick(st.just("4,16"), st.sampled_from(["4", "4,16,4", "0,16", "4,0", "-1,16"])),
-        "--p": pick(st.floats(1.0, 4.0), st.floats(), text=False),
-        "--h0": pick(st.floats(0.01, 0.3), st.floats(), text=False),
-        "--K": pick(st.integers(1, 32), st.integers(-2, 0), text=False),
-        "--sphere-order": pick(st.integers(1, 16), st.integers(-2, 0), text=False),
-        "--delta": pick(st.none(), st.floats(1e-4, 0.1), st.floats(), text=False),
+        "--p": pick(st.floats(1.0, 4.0), st.floats(), NOT_FLOAT),
+        "--h0": pick(st.floats(0.01, 0.3), st.floats(), NOT_FLOAT),
+        "--h-count": pick(st.just(3), NOT_INT),
+        "--K": pick(st.integers(1, 32), st.integers(-2, 0), NOT_INT),
+        "--sphere-order": pick(st.integers(1, 16), st.integers(-2, 0), NOT_INT),
+        "--delta": pick(st.none(), st.floats(1e-4, 0.1), st.floats(), NOT_FLOAT, text=False),
+        "--strict": draw(st.booleans()) or None,
     }
     if subcommand == "convergence":
         flags["--sweep"] = pick(st.sampled_from(["h", "K", "h,K", "sphere", "delta", "h,K,sphere,delta"]),
                                 st.sampled_from(["", "h,,K", "foo"]))
-    argv = [subcommand, "--h-count", "3"] + [f"{k}={v}" for k, v in flags.items() if v is not None]
-    return argv + (["--strict"] if draw(st.booleans()) else [])
+    flags = {k: v for k, v in flags.items() if v is not None}
+
+    def argv(names):
+        return [subcommand] + [k if v is True else f"{k}={v}" for k, v in flags.items() if k in names]
+
+    moved = draw(st.sets(st.sampled_from(sorted(flags))))
+    entries = {}
+    for name in sorted(moved):
+        value = flags[name]
+        if not draw(st.integers(0, 19)):
+            key, value = draw(WILD_ENTRIES)
+        elif isinstance(value, str) or (value is not True and draw(st.booleans())):
+            key, value = name[2:], str(value)
+        else:
+            key = name[2:]
+        entries[key] = value
+    return argv(set(flags) - moved), entries if moved else None, argv(flags)
+
+
+def _run_main(argv):
+    """main(argv) as on the command line: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        # each package warning is also a coded `warnings` entry
+        warnings.simplefilter("ignore", KSEnergyWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(cli_args())
-def test_cli_fuzz_exits_with_one_json_object(argv):
-    """Any argparse-valid flag set exits 0-3 with exactly one JSON object on each non-empty stream."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        # as on the command line: each package warning is also a coded `warnings` entry
-        warnings.simplefilter("ignore", KSEnergyWarning)
-        code = main(argv)
-    assert code in (0, 1, 2, 3), argv
-    streams = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+def test_cli_fuzz_exits_with_one_json_object(case):
+    """Any flag set, on the command line or in a --config file, exits 0-3 with exactly one JSON
+    object on each non-empty stream; a run that reads a file and succeeds gives the report of the
+    same flags typed on the command line."""
+    argv, entries, full_argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if entries is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(entries, fh)
+            argv = argv + [f"--config={path}"]
+        code, stdout, stderr = _run_main(argv)
+    assert code in (0, 1, 2, 3), (argv, entries)
+    streams = {"stdout": stdout, "stderr": stderr}
     for name, text in streams.items():
         if text:
-            assert isinstance(json.loads(text), dict), (argv, name, text)
+            assert isinstance(json.loads(text), dict), (argv, entries, name, text)
     # stdout holds the report (exit 0, or 3 under --strict); stderr the error
-    assert bool(streams["stdout"]) == (code in (0, 3)), (argv, streams)
-    assert bool(streams["stderr"]) == (code != 0), (argv, streams)
+    assert bool(stdout) == (code in (0, 3)), (argv, entries, streams)
+    assert bool(stderr) == (code != 0), (argv, entries, streams)
+    if code == 0 and entries is not None:
+        code_cli, stdout_cli, _ = _run_main(full_argv)
+        assert code_cli == 0, (full_argv, entries)
+        reports = [json.loads(text) for text in (stdout, stdout_cli)]
+        for report in reports:
+            report.pop("timing")
+        assert reports[0] == reports[1], (full_argv, entries)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksenergy import ball_nodes, energy_normalization, extrapolate, sphere_nodes, unit_ball_volume
 from ksenergy.errors import ExtrapolationDataError, UnsupportedDimensionError
-from ksenergy.quadrature import extrapolate_fields, rule_to_csv
+from ksenergy.quadrature import extrapolate_fields
 
 
 def test_unit_ball_volumes():
@@ -143,11 +143,3 @@ class TestExtrapolation:
         assert err[2] == 0.0
         assert not fb.any()
 
-
-def test_rule_csv_dump(tmp_path):
-    rule = sphere_nodes(2, 8)
-    path = tmp_path / "rule.csv"
-    rule_to_csv(rule, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,x1,weight"
-    assert len(lines) == 9
