@@ -12,12 +12,14 @@ the same flag on the command line (true gives a bare flag such as
 the file.
 
 Exit codes: 0 success, 1 runtime error, 2 configuration error (any bad
-flag, config file or domain, before any numerics), 3 numerical warnings
-promoted to failure under --strict. Errors are one JSON object on stderr.
+flag, config file, domain or output location, before any numerics), 3
+numerical warnings promoted to failure under --strict. Errors are one JSON
+object on stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -176,6 +178,22 @@ def _problem(args):
     )
 
 
+def _check_outputs(args):
+    """A --json or --csv location that cannot be written is a ConfigError before any numerics."""
+    for flag, path in (("--json", args.json_out), ("--csv", args.csv_prefix)):
+        if not path:
+            continue
+        if flag == "--json" and os.path.exists(path):
+            # an existing target (a file, /dev/null) is written in place
+            writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+        else:
+            # the CSV files are <prefix>_<table>.csv, created next to the prefix
+            folder = os.path.dirname(path) or "."
+            writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+        if not writable:
+            raise ConfigError(f"{flag} {path!r}: not a writable location")
+
+
 def _emit(args, report, tables):
     text = canonical_json(report)
     if args.json_out:
@@ -191,6 +209,7 @@ def _emit(args, report, tables):
 def main(argv=None):
     try:
         args = parse_args(argv)
+        _check_outputs(args)
         # a non-finite report number is a NonFiniteResultError (pipeline._report),
         # so numpy's floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):

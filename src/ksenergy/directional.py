@@ -14,7 +14,11 @@ The sup over D is realized in two layers, both deterministic:
   The scan keeps one running max over the enumeration and copies it at each
   requested prefix length, so the 2K truncation probe and the K ladder of a
   convergence sweep come from the same pass; a max is exact and order-free,
-  so each copy equals a separate scan of that prefix;
+  so each copy equals a separate scan of that prefix. A repeated gradient
+  cannot raise M or move arg (the first anchor realizing it), so each node
+  scans only its distinct gradients of each anchor batch; dedup is per
+  batch and conservative (it may keep a repeat, never drops a first
+  occurrence), and the result is exactly that of a scan anchor by anchor;
 * a per-(node, direction) refinement that walks the direction of the anchor
   ray in the target representation space, snapping every trial anchor to a
   dyadic lattice point so the search never leaves the dense set. Refinement
@@ -169,6 +173,15 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     `prefixes`. Below K = cfg.dense_count the update is strict, so `arg`
     keeps the first anchor that realizes the max (the refinement's seed).
     `grid` (or None) bounds the stencil, as in `maps.eval_stencil`.
+
+    Distinct-gradient rule: a repeated gradient cannot raise M or move arg;
+    dedup is per batch and conservative. Each anchor batch is scanned over
+    its slots (`_distinct_slots`): per node, the batch's distinct gradients
+    in order of first occurrence, each carrying that anchor index as its
+    `arg`. A first occurrence overall is also first in its own batch, so
+    per-batch dedup keeps it. A prefix of length L is copied per node once
+    its slots with occurrence below L are done, and in a batch that
+    straddles K only rows whose occurrence is below K move arg and gmin.
     Returns ([g at each prefix length], gmin).
     """
     space = metric_map.target
@@ -187,12 +200,12 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     upd = np.empty((N, R), dtype=bool)
     nupd = np.empty(N, dtype=bool)
     reps_t = reps.T
-    copy_at = set(prefixes[:-1])
     snaps = []
 
     batch = 128
     for b0 in range(0, anchors.shape[0], batch):
         xi = anchors[b0 : b0 + batch]
+        b1 = b0 + xi.shape[0]
         center = space.distance(stencil.u0[:, None, :], xi[None, :, :])
         grads = np.empty((N, xi.shape[0], n))
         for i in range(n):
@@ -205,21 +218,38 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         # would silently drop a NaN
         if not np.all(np.isfinite(norms)):
             raise _non_finite(metric_map)
-        for kk in range(xi.shape[0]):
-            k = b0 + kk
-            np.matmul(grads[:, kk, :], reps_t, out=proj)
+        vecs, vnorms, occ = _distinct_slots(grads, norms, b0)
+
+        # prefix L of node i is copied after its slots with occurrence < L
+        # (at least one: the batch's first anchor is always a slot)
+        due = {}
+        for L in prefixes[:-1]:
+            if b0 < L <= b1:
+                snap = np.empty((N, R))
+                snaps.append(snap)
+                count = np.count_nonzero(occ < L, axis=0)
+                for c in np.unique(count):
+                    due.setdefault(c, []).append((snap, np.flatnonzero(count == c)))
+        for s in range(vecs.shape[0]):
+            o = occ[s]
+            np.matmul(vecs[s], reps_t, out=proj)
             np.abs(proj, out=proj)
-            if k < K:
+            if b0 >= K:
+                np.maximum(M, proj, out=M)
+            else:
                 np.greater(proj, M, out=upd)
                 np.copyto(M, proj, where=upd)
-                np.copyto(arg, k, where=upd)
-                np.greater(norms[:, kk], gmin, out=nupd)
-                np.copyto(gmin, norms[:, kk], where=nupd)
-                np.copyto(gmin_arg, k, where=nupd)
-            else:
-                np.maximum(M, proj, out=M)
-            if k + 1 in copy_at:
-                snaps.append(M.copy())
+                np.greater(vnorms[s], gmin, out=nupd)
+                if b1 > K:
+                    # the batch straddles K: only occurrences below K seed the climb
+                    below = o < K
+                    upd &= below[:, None]
+                    nupd &= below
+                np.copyto(arg, o[:, None], where=upd)
+                np.copyto(gmin, vnorms[s], where=nupd)
+                np.copyto(gmin_arg, o, where=nupd)
+            for snap, rows in due.pop(s + 1, ()):
+                snap[rows] = M[rows]
     snaps.append(M)  # the scan ends at the longest prefix
 
     accel, accel_norm = _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg)
@@ -228,6 +258,73 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         np.maximum(s, accel, out=s)
         gmin = np.maximum(gmin, s.max(axis=1))
     return snaps, gmin
+
+
+def _bucket_keys(bits):
+    """(N, B) sort keys of (N, B, n) gradient bit patterns: equal vectors, equal keys."""
+    key = np.zeros(bits.shape[:2], dtype=np.uint64)
+    for i in range(bits.shape[2]):
+        key ^= bits[..., i]
+        key *= np.uint64(0x9E3779B97F4A7C15)
+    return key
+
+
+def _first_occurrences(grads, least):
+    """(N, B) mask of the anchors to scan, or None when it would skip fewer than `least` in some row.
+
+    Each row's anchors are sorted by bucket (the high bits of
+    `_bucket_keys`), then by anchor index (the low bits), so equal vectors
+    sit next to each other in anchor order; an anchor is skipped only when
+    its sort neighbour before it has the same bits. No first occurrence is
+    ever skipped, and a bucket collision only keeps a repeat.
+    """
+    N, B, n = grads.shape
+    bits = grads.view(np.uint64)
+    low = np.uint64((1 << (B - 1).bit_length()) - 1)
+    key = _bucket_keys(bits) & ~low
+    key |= np.arange(B, dtype=np.uint64)
+    key.sort(axis=1)
+    # a repeat shares its sort neighbour's bucket, so equal buckets bound the skips from above
+    dup = (key[:, 1:] ^ key[:, :-1]) <= low
+    if np.count_nonzero(dup, axis=1).min() < least:
+        return None
+    at = (key & low).astype(np.intp) + np.arange(0, N * B, B)[:, None]
+    ranked = np.take(bits.reshape(N * B, n), at.ravel(), axis=0).reshape(N, B, n)
+    for i in range(n):
+        dup &= ranked[:, 1:, i] == ranked[:, :-1, i]
+    if np.count_nonzero(dup, axis=1).min() < least:
+        return None
+    keep = np.ones(N * B, dtype=bool)
+    keep[at[:, 1:][dup]] = False
+    return keep.reshape(N, B)
+
+
+def _distinct_slots(grads, norms, b0):
+    """The scan slots of one anchor batch: (vecs (S, N, n), norms (S, N), occ (S, N)).
+
+    Slot s of node i holds the node's s-th distinct gradient in order of
+    first occurrence (`_first_occurrences`), with that anchor's norm and
+    index `occ`. Nodes with fewer slots are padded with zero vectors, which
+    never raise M or gmin, at an occurrence past the batch. When compressing
+    saves fewer than B / 8 slots (every vector is distinct, say), the slots
+    are the anchors themselves.
+    """
+    N, B, n = grads.shape
+    # the loop pays per slot and the compression per batch
+    keep = _first_occurrences(grads, max(B // 8, 1))
+    if keep is None:
+        return grads.swapaxes(0, 1), norms.T, np.broadcast_to(np.arange(b0, b0 + B)[:, None], (B, N))
+    counts = np.count_nonzero(keep, axis=1)
+    S = int(counts.max())
+    src = np.flatnonzero(keep)
+    slot = np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # index N * B is the zero vector that pads a node's slots
+    idx = np.full(S * N, N * B)
+    idx[slot * N + src // B] = src
+    idx = idx.reshape(S, N)
+    vecs = np.take(np.concatenate([grads.reshape(N * B, n), np.zeros((1, n))]), idx, axis=0)
+    vnorms = np.take(np.append(norms, 0.0), idx)
+    return vecs, vnorms, b0 + idx - np.arange(0, N * B, B)
 
 
 def _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg):

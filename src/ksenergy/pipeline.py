@@ -226,6 +226,9 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
         raise ConfigError(f"unknown sweep(s) {unknown}; choose from {', '.join(_SWEEPS)}")
     if set(sweeps) & {"K", "sphere", "delta"}:
         _require_sphere(problem)
+    if "sphere" in sweeps and len(problem.lower) != 2:
+        # the ladder's orders are circle orders; on S^2 order 256 is 131,072 directions per node
+        raise ConfigError(f"the sphere sweep needs a 2-d domain, got {len(problem.lower)}-d")
     space, metric_map, grid = problem.build()
     t0 = time.perf_counter()
     mask = grid.inner_mask(cfg.h0)

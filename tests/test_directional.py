@@ -22,7 +22,7 @@ import ksenergy.directional
 from ksenergy import build_grid
 from ksenergy.directional import _initial_directions, _perturb, _snap_depth
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
-from ksenergy.maps import MetricMap
+from ksenergy.maps import MetricMap, eval_stencil
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 X0 = np.array([0.40625, 0.53125])  # generic interior node of the 16^2 grid
@@ -387,6 +387,139 @@ class TestGroupedClimb:
             for k in want.reduced:
                 assert np.array_equal(got.reduced[k], want.reduced[k]), (workers, k)
             assert np.array_equal(got.gmin, want.gmin), workers
+
+
+def _plain_field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
+    """Reference scan: one update per anchor, one copy per prefix length."""
+    space = metric_map.target
+    N, n = pts.shape
+    R = reps.shape[0]
+    K = cfg.dense_count
+    stencil = eval_stencil(metric_map, pts, delta, grid)
+    M = np.zeros((N, R))
+    arg = np.zeros((N, R), dtype=np.int64)
+    gmin = np.zeros(N)
+    gmin_arg = np.zeros(N, dtype=np.int64)
+    snaps = []
+    for k, xi in enumerate(anchors):
+        grad = np.empty((N, n))
+        for i in range(n):
+            grad[:, i] = (space.distance(stencil.plus[i], xi) - space.distance(stencil.minus[i], xi)) / (2.0 * delta)
+        grad[space.distance(stencil.u0, xi) < cfg.anchor_exclusion * delta] = 0.0
+        # same (N, n) @ (n, R) product as the scan, row for row
+        proj = np.abs(grad @ reps.T)
+        norm = np.linalg.norm(grad, axis=1)
+        if k < K:
+            upd = proj > M
+            M[upd], arg[upd] = proj[upd], k
+            nupd = norm > gmin
+            gmin[nupd], gmin_arg[nupd] = norm[nupd], k
+        else:
+            M = np.maximum(M, proj)
+        if k + 1 in prefixes:
+            snaps.append(M.copy())
+    accel, accel_norm = ksenergy.directional._refine_chunk(
+        metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg
+    )
+    gmin = np.maximum(gmin, accel_norm)
+    for s in snaps:
+        np.maximum(s, accel, out=s)
+        gmin = np.maximum(gmin, s.max(axis=1))
+    return snaps, gmin
+
+
+class TestDistinctScan:
+    """Scanning each batch's distinct gradients gives exactly the per-anchor scan."""
+
+    # lengths inside the first batch, a K that is not a multiple of the batch
+    # (128), and a 2K probe that straddles two batches
+    PREFIXES = (1, 2, 3, 5, 16, 32, 63, 64, 100, 129, 200)
+    CFG = EnergyConfig(dense_count=100, refine_stages=0, h_count=3)
+
+    @staticmethod
+    def _scan(monkeypatch, m, pts, dirs, cfg, grid, plain=False):
+        """(field, {chunk: (arg, gmin_arg)}, compressed): the field, the refinement
+        seeds of each chunk, and whether any batch was scanned over fewer slots
+        than anchors."""
+        seeds = {}
+        compressed = []
+        refine = ksenergy.directional._refine_chunk
+        slots = ksenergy.directional._distinct_slots
+
+        def recording(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg):
+            seeds[pts.tobytes()] = (arg.copy(), gmin_arg.copy())
+            return refine(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg)
+
+        def counting(grads, norms, b0):
+            out = slots(grads, norms, b0)
+            compressed.append(out[0].shape[0] < grads.shape[1])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ksenergy.directional, "_refine_chunk", recording)
+            patch.setattr(ksenergy.directional, "_distinct_slots", counting)
+            if plain:
+                patch.setattr(ksenergy.directional, "_field_chunk", _plain_field_chunk)
+            field = directional_field(m, pts, dirs, cfg, grid, prefixes=TestDistinctScan.PREFIXES)
+        return field, seeds, any(compressed)
+
+    def _assert_plain(self, monkeypatch, m, pts, dirs, cfg, grid=None):
+        """Assert the scan equals the reference; return whether it compressed a batch."""
+        got, got_seeds, compressed = self._scan(monkeypatch, m, pts, dirs, cfg, grid)
+        want, want_seeds, _ = self._scan(monkeypatch, m, pts, dirs, cfg, grid, plain=True)
+        assert got.reduced.keys() == want.reduced.keys() == set(self.PREFIXES)
+        for k in self.PREFIXES:
+            assert np.array_equal(got.reduced[k], want.reduced[k]), (cfg.workers, k)
+        assert np.array_equal(got.gmin, want.gmin), cfg.workers
+        assert got_seeds.keys() == want_seeds.keys()
+        for chunk, (arg, gmin_arg) in want_seeds.items():
+            assert np.array_equal(got_seeds[chunk][0], arg), cfg.workers
+            assert np.array_equal(got_seeds[chunk][1], gmin_arg), cfg.workers
+        return got, compressed
+
+    @pytest.mark.parametrize(
+        "map_spec, space_spec, dim",
+        [
+            ("linear:1,0.5;0.25,2", "euclidean:2", 2),
+            ("identity", "max_norm_plane", 2),
+            ("winding:2", "circle", 2),
+            ("qsplit", "q:2:1", 2),
+            ("linear:1,0.5,0.25;0.3,2,0.1", "max_norm_plane", 3),
+        ],
+    )
+    def test_equals_per_anchor_scan(self, monkeypatch, map_spec, space_spec, dim):
+        # more nodes than one chunk, so workers=2 runs two chunks at once
+        grid = build_grid([0.0] * dim, [1.0] * dim, [32, 32] if dim == 2 else [9, 9, 9])
+        m = make_map(map_spec, make_space(space_spec), dim)
+        pts = grid.nodes[grid.inner_mask(0.05)]
+        assert len(pts) > 512
+        dirs = np.random.default_rng(0).normal(size=(10, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        for workers in (1, 2):
+            _, compressed = self._assert_plain(monkeypatch, m, pts, dirs, replace(self.CFG, workers=workers), grid)
+            # euclidean gradients hardly repeat, so those batches keep every anchor
+            assert compressed == (space_spec != "euclidean:2")
+
+    def test_constant_hash_still_exact(self, monkeypatch):
+        # one sort bucket: only sort neighbours (anchor order) can drop a repeat
+        monkeypatch.setattr(
+            ksenergy.directional, "_bucket_keys", lambda bits: np.zeros(bits.shape[:2], dtype=np.uint64)
+        )
+        grid = build_grid([0.0, 0.0], [1.0, 1.0], [16, 16])
+        for map_spec, space_spec in (("identity", "max_norm_plane"), ("qsplit", "q:2:1")):
+            m = make_map(map_spec, make_space(space_spec), 2)
+            pts = grid.nodes[grid.inner_mask(0.05)]
+            dirs = np.array([[1.0, 0.0], [0.6, 0.8]])
+            assert self._assert_plain(monkeypatch, m, pts, dirs, self.CFG, grid)[1]
+
+    def test_node_with_every_anchor_excluded(self, monkeypatch):
+        # every anchor lies within 20 of u = 0, none within 20 of u = (100, 100)
+        m = make_map("identity", make_space("max_norm_plane"), 2)
+        pts = np.array([[0.0, 0.0], [100.0, 100.0], [0.25, -0.5]])
+        cfg = replace(self.CFG, fd_step=1e-3, anchor_exclusion=2e4)
+        f, compressed = self._assert_plain(monkeypatch, m, pts, np.array([[1.0, 0.0], [0.6, 0.8]]), cfg)
+        assert compressed
+        assert f.gmin[0] == f.gmin[2] == 0.0 and f.gmin[1] > 0.0
 
 
 class TestIncrementBound:

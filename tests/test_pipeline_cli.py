@@ -228,22 +228,50 @@ class TestCli:
             pytest.param(["rep-energy", "--sphere-order", "0"], id="sphere-order-zero"),
             pytest.param(["convergence", "--resolution", "8", "--sweep", "foo"], id="sweep-unknown"),
             pytest.param(["convergence", "--resolution", "8", "--sweep", "h,"], id="sweep-empty-name"),
+            pytest.param(["convergence", "--map", "linear:1,0,0;0,1,0", "--lower", "0,0,0", "--upper", "1,1,1",
+                          "--resolution", "4", "--sweep", "sphere"], id="sphere-sweep-3d"),
+            pytest.param(["ks-energy", "--resolution", "8", "--json", "/nonexistent/x.json"], id="json-unwritable"),
+            pytest.param(["ks-energy", "--resolution", "8", "--csv", "/nonexistent/p"], id="csv-unwritable"),
+            pytest.param(["ks-energy", "--resolution", "8", "--json", "DIR"], id="json-directory"),
         ],
     )
     def test_config_error_exit_code(self, capsys, tmp_path, args):
         """Malformed input exits 2 with one JSON ConfigError on stderr, before any numerics.
 
-        An argument `FILE:text` stands for the path of a config file holding `text`.
+        An argument `FILE:text` stands for the path of a config file holding `text`,
+        and `DIR` for an existing directory.
         """
         cfg_file = tmp_path / "cfg.json"
         for arg in args:
             if arg.startswith("FILE:"):
                 cfg_file.write_text(arg[len("FILE:"):])
-        args = [str(cfg_file) if a.startswith("FILE:") else a for a in args]
-        assert main([*args, "--json", "/dev/null"]) == 2
+        args = [str(cfg_file) if a.startswith("FILE:") else str(tmp_path) if a == "DIR" else a for a in args]
+        if "--json" not in args:
+            args += ["--json", "/dev/null"]
+        assert main(args) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err)["error"]["type"] == "ConfigError"
+
+    def test_output_writability_is_read_from_the_target(self, capsys, tmp_path, monkeypatch):
+        """An existing --json file is judged by its own permission, not its directory's."""
+        target = tmp_path / "out.json"
+        target.write_text("")
+        access = os.access
+        # as for a user who may write the file (or /dev/null) but not its directory
+        monkeypatch.setattr(os, "access", lambda path, mode: not os.path.isdir(path) and access(path, mode))
+        args = ["ks-energy", "--resolution", "8", "--h-count", "3", "--ball-order", "4,16"]
+        assert main([*args, "--json", str(target)]) == 0
+        assert json.loads(target.read_text())["ks_energy"] is not None
+        assert main([*args, "--json", "/dev/null"]) == 0
+        capsys.readouterr()
+        # a new file needs a writable directory, an existing one its own permission
+        for path in (tmp_path / "new.json", target):
+            assert main([*args, "--json", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err)["error"]["type"] == "ConfigError"
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
 
     def test_h_count_below_three_is_config_error(self, capsys):
         assert main(["ks-energy", "--h-count", "2", "--resolution", "8", "--json", "/dev/null"]) == 2
