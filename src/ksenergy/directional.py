@@ -11,14 +11,15 @@ The sup over D is realized in two layers, both deterministic:
   `anchor_exclusion * fd_step` of u(x) in the target metric are skipped:
   central differences degrade as the composed field's curvature ~ 1/distance
   blows up, and in all built-in targets remote anchors realize the sup).
-  The scan keeps one running max over the enumeration and copies it at each
-  requested prefix length, so the 2K truncation probe and the K ladder of a
-  convergence sweep come from the same pass; a max is exact and order-free,
-  so each copy equals a separate scan of that prefix. A repeated gradient
+  The scan keeps one running max over the enumeration, in anchor batches
+  that end at every multiple of 128 and at every requested prefix length,
+  and copies it between batches at each such length: the 2K truncation
+  probe and the K ladder of a convergence sweep come from the same pass,
+  and each copy equals a separate scan of that prefix. A repeated gradient
   cannot raise M or move arg (the first anchor realizing it), so each node
-  scans only its distinct gradients of each anchor batch; dedup is per
-  batch and conservative (it may keep a repeat, never drops a first
-  occurrence), and the result is exactly that of a scan anchor by anchor;
+  scans only its distinct gradients of each batch; dedup is per batch and
+  conservative (it may keep a repeat, never drops a first occurrence), and
+  the result is exactly that of a scan anchor by anchor;
 * a per-(node, direction) refinement that walks the direction of the anchor
   ray in the target representation space, snapping every trial anchor to a
   dyadic lattice point so the search never leaves the dense set. Refinement
@@ -51,19 +52,18 @@ from .quadrature import energy_normalization
 
 
 def _reduce_directions(dirs):
-    """Collapse duplicate and antipodal directions; values are even in nu."""
-    reps = []
-    inv = np.empty(len(dirs), dtype=np.intp)
-    seen = {}
-    for j, d in enumerate(dirs):
-        kd = tuple(np.round(d, 12))
-        kn = tuple(np.round(-d, 12))
-        key = min(kd, kn)
-        if key not in seen:
-            seen[key] = len(reps)
-            reps.append(d)
-        inv[j] = seen[key]
-    return np.array(reps), inv
+    """Collapse duplicate and antipodal directions; values are even in nu.
+
+    Directions equal to 12 decimals up to sign share a representative, the
+    first such vector; representatives are in order of first occurrence.
+    """
+    key = np.round(dirs, 12)
+    lead = key[np.arange(key.shape[0]), np.argmax(key != 0, axis=1)]
+    # the sign whose first nonzero entry is negative; + 0.0 turns -0.0 into 0.0
+    key = np.where(lead[:, None] > 0, -key, key) + 0.0
+    _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return dirs[first[order]], np.argsort(order)[inv.ravel()]
 
 
 def _snap_depth(delta):
@@ -102,6 +102,19 @@ class DirectionalField:
         """g_nu at the 2K prefix (the under-truncation probe), or None."""
         k = 2 * self.dense_count
         return self.at_prefix(k) if k in self.reduced else None
+
+    def sphere_energy(self, rule, p, node_weight, k=None):
+        """(density, energy) of the sphere average of g_nu^p under `rule`, at prefix k (default K).
+
+        The rule's columns are looked up by direction: reduced together with
+        `dirs`, each rule node maps onto the representative of its class, so
+        any rule whose nodes the field holds (up to sign) reads its own
+        columns. A node the field lacks indexes past the representatives.
+        """
+        _, inv = _reduce_directions(np.concatenate([self.dirs, rule.nodes]))
+        g = self.reduced[self.dense_count if k is None else k][:, inv[len(self.dirs):]]
+        density = (g**p) @ rule.weights
+        return density, node_weight * pairwise_sum(density)
 
     def max_direction_gap(self):
         """max g_nu - gmin over everything (must be <= 0 by construction)."""
@@ -169,19 +182,18 @@ def _non_finite(metric_map):
 def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     """Prefix scan + refinement for one block of points.
 
-    One running max over the anchor enumeration, copied at every length in
-    `prefixes`. Below K = cfg.dense_count the update is strict, so `arg`
-    keeps the first anchor that realizes the max (the refinement's seed).
-    `grid` (or None) bounds the stencil, as in `maps.eval_stencil`.
+    One running max over the anchor enumeration. Anchor batches end at every
+    multiple of 128 and at every length in `prefixes`, so each prefix is a
+    copy of M between batches and no batch straddles K = cfg.dense_count.
+    Below K the update is strict, so `arg` keeps the first anchor that
+    realizes the max (the refinement's seed). `grid` (or None) bounds the
+    stencil, as in `maps.eval_stencil`.
 
-    Distinct-gradient rule: a repeated gradient cannot raise M or move arg;
-    dedup is per batch and conservative. Each anchor batch is scanned over
-    its slots (`_distinct_slots`): per node, the batch's distinct gradients
-    in order of first occurrence, each carrying that anchor index as its
-    `arg`. A first occurrence overall is also first in its own batch, so
-    per-batch dedup keeps it. A prefix of length L is copied per node once
-    its slots with occurrence below L are done, and in a batch that
-    straddles K only rows whose occurrence is below K move arg and gmin.
+    Distinct-gradient rule: a repeated gradient cannot raise M or move arg.
+    Each batch is scanned over its slots (`_distinct_slots`): per node, the
+    batch's distinct gradients in order of first occurrence, each carrying
+    that anchor index as its `arg`. A first occurrence overall is also first
+    in its own batch, so per-batch dedup keeps it.
     Returns ([g at each prefix length], gmin).
     """
     space = metric_map.target
@@ -203,9 +215,9 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     snaps = []
 
     batch = 128
-    for b0 in range(0, anchors.shape[0], batch):
-        xi = anchors[b0 : b0 + batch]
-        b1 = b0 + xi.shape[0]
+    ends = sorted(set(range(batch, prefixes[-1], batch)).union(prefixes))
+    for b0, b1 in zip([0] + ends, ends):
+        xi = anchors[b0:b1]
         center = space.distance(stencil.u0[:, None, :], xi[None, :, :])
         grads = np.empty((N, xi.shape[0], n))
         for i in range(n):
@@ -219,19 +231,7 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         if not np.all(np.isfinite(norms)):
             raise _non_finite(metric_map)
         vecs, vnorms, occ = _distinct_slots(grads, norms, b0)
-
-        # prefix L of node i is copied after its slots with occurrence < L
-        # (at least one: the batch's first anchor is always a slot)
-        due = {}
-        for L in prefixes[:-1]:
-            if b0 < L <= b1:
-                snap = np.empty((N, R))
-                snaps.append(snap)
-                count = np.count_nonzero(occ < L, axis=0)
-                for c in np.unique(count):
-                    due.setdefault(c, []).append((snap, np.flatnonzero(count == c)))
         for s in range(vecs.shape[0]):
-            o = occ[s]
             np.matmul(vecs[s], reps_t, out=proj)
             np.abs(proj, out=proj)
             if b0 >= K:
@@ -239,17 +239,12 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
             else:
                 np.greater(proj, M, out=upd)
                 np.copyto(M, proj, where=upd)
+                np.copyto(arg, occ[s][:, None], where=upd)
                 np.greater(vnorms[s], gmin, out=nupd)
-                if b1 > K:
-                    # the batch straddles K: only occurrences below K seed the climb
-                    below = o < K
-                    upd &= below[:, None]
-                    nupd &= below
-                np.copyto(arg, o[:, None], where=upd)
                 np.copyto(gmin, vnorms[s], where=nupd)
-                np.copyto(gmin_arg, o, where=nupd)
-            for snap, rows in due.pop(s + 1, ()):
-                snap[rows] = M[rows]
+                np.copyto(gmin_arg, occ[s], where=nupd)
+        if b1 in prefixes[:-1]:
+            snaps.append(M.copy())
     snaps.append(M)  # the scan ends at the longest prefix
 
     accel, accel_norm = _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg)
@@ -583,7 +578,6 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
     sphere_rule = cfg.sphere_rule(n) if "sphere" in forms else None
     if sphere_rule is not None:
         groups.append(sphere_rule.nodes)
-        bounds["sphere"] = (pos, pos + len(sphere_rule.nodes))
         pos += len(sphere_rule.nodes)
     ball_rule = cfg.ball_rule(n) if "ball" in forms else None
     ball_dirs = ball_radii = None
@@ -607,21 +601,16 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
 
     out = RepEnergies(mask_indices=idx, mask_measure=float(grid.node_weight * len(idx)), field=f)
 
-    def form_values(form, k=cfg.dense_count):
+    def form_values(form):
         # expand only this form's directions: the full (N, D) table is the
         # largest array of a run
         s, e = bounds[form]
-        return f.at_prefix(k, slice(s, e))
-
-    def sphere_energy(k):
-        density = (form_values("sphere", k) ** cfg.p) @ sphere_rule.weights
-        return density, grid.node_weight * pairwise_sum(density)
+        return f.at_prefix(cfg.dense_count, slice(s, e))
 
     if sphere_rule is not None:
-        out.density_sphere, out.energy_sphere = sphere_energy(cfg.dense_count)
-        out.energy_sphere_prefix = {
-            k: out.energy_sphere if k == cfg.dense_count else sphere_energy(k)[1] for k in f.reduced
-        }
+        energies = {k: f.sphere_energy(sphere_rule, cfg.p, grid.node_weight, k) for k in f.reduced}
+        out.density_sphere, out.energy_sphere = energies[cfg.dense_count]
+        out.energy_sphere_prefix = {k: energy for k, (_, energy) in energies.items()}
         if 2 * cfg.dense_count in f.reduced:
             out.energy_sphere_doubled = out.energy_sphere_prefix[2 * cfg.dense_count]
             ref = max(abs(out.energy_sphere_doubled), 1e-300)

@@ -87,11 +87,11 @@ class KSResult:
     domain_measure: float
     inner_measure_exact: float
     localization_deficit: Optional[float]
-    ks_density: Optional[np.ndarray]  # per-node limit density, kept on request
+    ks_density: np.ndarray  # per-node limit density
     warnings: list  # coded entries, in the order they arose
 
 
-def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
+def ks_energy(metric_map, grid, cfg, mask=None):
     """Integrated densities over the h-ladder, extrapolated to h -> 0.
 
     Integration is localized to the h0-erosion (the computable stand-in for
@@ -132,13 +132,9 @@ def ks_energy(metric_map, grid, cfg, keep_fields=True, mask=None):
     if fb[0]:
         coded.append("extrapolation_order_fallback")
 
-    ks_density = None
-    if keep_fields:
-        dlimit, _, _, _ = extrapolate_fields(np.array(h_values), fields)
-        ks_density = np.maximum(dlimit, 0.0)
-        density_max = float(ks_density.max(initial=0.0))
-    else:
-        density_max = float(fields[-1].max(initial=0.0))
+    dlimit, _, _, _ = extrapolate_fields(np.array(h_values), fields)
+    ks_density = np.maximum(dlimit, 0.0)
+    density_max = float(ks_density.max(initial=0.0))
     mask_measure = float(grid.node_weight * len(idx))
     deficit = max(grid.measure - mask_measure, 0.0) * density_max if len(idx) else None
     return KSResult(
@@ -163,7 +159,7 @@ def density_limit(metric_map, grid, cfg):
     Returns (node_indices, density) where density[i] belongs to
     grid.nodes[node_indices[i]].
     """
-    ks = ks_energy(metric_map, grid, cfg, keep_fields=True)
+    ks = ks_energy(metric_map, grid, cfg)
     return ks.mask_indices, ks.ks_density
 
 

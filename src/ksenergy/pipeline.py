@@ -236,7 +236,7 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
 
     ks = None
     if "h" in sweeps:
-        ks = ks_energy(metric_map, grid, cfg, keep_fields=False, mask=mask)
+        ks = ks_energy(metric_map, grid, cfg, mask=mask)
         tables["h_sweep"] = [("h", "integral")] + list(zip(ks.h_values, ks.h_integrals))
 
     if "K" in sweeps:
@@ -254,11 +254,14 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
         tables["K_sweep"] = [("K", "rep_energy_sphere_prefix_only")] + rows
 
     if "sphere" in sweeps:
+        # on S^1 each smaller rule's nodes are bit for bit nodes of the
+        # order-256 rule, so one field gives every row
+        cfg_s = replace(cfg, sphere_order=256, check_truncation=False)
+        field = rep_energies(metric_map, grid, cfg_s, forms=("sphere",), mask=mask).field
         rows = []
         for order in (16, 32, 64, 128, 256):
-            cfg_o = replace(cfg, sphere_order=order, check_truncation=False)
-            frag = rep_energies(metric_map, grid, cfg_o, forms=("sphere",), mask=mask)
-            rows.append((order, frag.energy_sphere))
+            rule = replace(cfg_s, sphere_order=order).sphere_rule(2)
+            rows.append((order, field.sphere_energy(rule, cfg.p, grid.node_weight)[1]))
         tables["sphere_sweep"] = [("sphere_order", "rep_energy_sphere")] + rows
 
     if "delta" in sweeps:

@@ -84,7 +84,7 @@ def test_criterion_2_representation_equality(grid64):
         cfg = EnergyConfig(p=p)  # h0=0.05, 6-term ladder, K=512 defaults
         for map_spec, space_spec in CATALOG:
             metric_map = make_map(map_spec, make_space(space_spec), 2)
-            ks = ks_energy(metric_map, grid64, cfg, keep_fields=False)
+            ks = ks_energy(metric_map, grid64, cfg)
             frag = rep_energies(metric_map, grid64, cfg, forms=("sphere",))
             gap = abs(ks.ks_energy - frag.energy_sphere) / max(abs(frag.energy_sphere), 1e-300)
             if gap > worst[0]:

@@ -20,9 +20,10 @@ from ksenergy import (
 )
 import ksenergy.directional
 from ksenergy import build_grid
-from ksenergy.directional import _initial_directions, _perturb, _snap_depth
+from ksenergy.directional import _initial_directions, _perturb, _reduce_directions, _snap_depth
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap, eval_stencil
+from ksenergy.quadrature import sphere_nodes
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 X0 = np.array([0.40625, 0.53125])  # generic interior node of the 16^2 grid
@@ -182,6 +183,7 @@ class TestFieldInvariants:
     def test_evenness_exact(self, fields):
         # antipodal directions share a representative, so equality is exact
         for f in fields.values():
+            values = f.values
             dirs = np.round(f.dirs, 12)
             index = {tuple(d): j for j, d in enumerate(dirs)}
             found = 0
@@ -189,7 +191,7 @@ class TestFieldInvariants:
                 k = index.get(tuple(-d))
                 if k is not None:
                     found += 1
-                    assert np.array_equal(f.values[:, j], f.values[:, k])
+                    assert np.array_equal(values[:, j], values[:, k])
             assert found > 0
 
     def test_doubled_prefix_never_smaller(self, fields):
@@ -520,6 +522,81 @@ class TestDistinctScan:
         f, compressed = self._assert_plain(monkeypatch, m, pts, np.array([[1.0, 0.0], [0.6, 0.8]]), cfg)
         assert compressed
         assert f.gmin[0] == f.gmin[2] == 0.0 and f.gmin[1] > 0.0
+
+
+def _dict_reduce_directions(dirs):
+    """Reference reduction: a dict keyed by the smaller of the rounded +d and -d."""
+    reps = []
+    inv = np.empty(len(dirs), dtype=np.intp)
+    seen = {}
+    for j, d in enumerate(dirs):
+        key = min(tuple(np.round(d, 12)), tuple(np.round(-d, 12)))
+        if key not in seen:
+            seen[key] = len(reps)
+            reps.append(d)
+        inv[j] = seen[key]
+    return np.array(reps), inv
+
+
+class TestReduceDirections:
+    """The vectorised reduction gives the dict loop's representatives and indices."""
+
+    @staticmethod
+    def _tables():
+        for n in (2, 3, 4):
+            cfg = EnergyConfig()
+            ball = cfg.ball_rule(n).nodes
+            radii = np.linalg.norm(ball, axis=1)
+            yield f"default-{n}d", np.concatenate([cfg.sphere_rule(n).nodes, ball / radii[:, None], np.eye(n)])
+        yield "ladder", np.concatenate([sphere_nodes(2, order).nodes for order in (256, 128, 64, 32, 16)])
+        for order in (1, 3, 7, 33):
+            yield f"odd-{order}", sphere_nodes(2, order).nodes
+        # random rows of random vectors and of signed axes (zero entries, -0.0), with random signs
+        rng = np.random.default_rng(0)
+        base = rng.normal(size=(40, 3))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        base = np.concatenate([base, np.eye(3), -np.eye(3), [[-0.0, 0.6, -0.8], [0.0, -0.6, 0.8]]])
+        rows = base[rng.integers(0, len(base), size=500)]
+        yield "random-signs", rows * rng.choice([-1.0, 1.0], size=(500, 1))
+
+    def test_equals_dict_loop(self):
+        for name, dirs in self._tables():
+            reps, inv = _reduce_directions(dirs)
+            want_reps, want_inv = _dict_reduce_directions(dirs)
+            assert np.array_equal(reps, want_reps), name
+            assert np.array_equal(inv, want_inv), name
+            assert inv.dtype == np.intp, name
+
+
+class TestSphereLadder:
+    """The sphere sweep reads each rule's columns off one order-256 field."""
+
+    CFG = EnergyConfig(p=3.0, dense_count=64, h_count=3)
+
+    @pytest.mark.parametrize(
+        "map_spec, space_spec",
+        [("swirl:0.3", "euclidean:2"), ("identity", "max_norm_plane"), ("winding:2", "circle"), ("qsplit", "q:2:1")],
+    )
+    def test_equals_per_order_fields(self, map_spec, space_spec):
+        problem = Problem(space_spec, map_spec, (0.0, 0.0), (1.0, 1.0), (32, 32))
+        _, metric_map, grid = problem.build()
+        # more nodes than one chunk, so workers=2 runs two chunks at once
+        assert np.count_nonzero(grid.inner_mask(self.CFG.h0)) > 512
+        for workers in (1, 2):
+            cfg = replace(self.CFG, workers=workers)
+            _, tables, _ = run_convergence(problem, cfg, sweeps=("sphere",))
+            expected = []
+            for order in (16, 32, 64, 128, 256):
+                cfg_o = replace(cfg, sphere_order=order, check_truncation=False)
+                expected.append((order, rep_energies(metric_map, grid, cfg_o, forms=("sphere",)).energy_sphere))
+            assert tables["sphere_sweep"][1:] == expected, workers
+
+    def test_rule_the_field_lacks_raises(self, unit_grid_16, cfg_small):
+        m = make_map("identity", make_space("max_norm_plane"), 2)
+        f = directional_field(m, X0[None, :], sphere_nodes(2, 16).nodes, cfg_small, unit_grid_16)
+        f.sphere_energy(sphere_nodes(2, 8), 2.0, 1.0)
+        with pytest.raises(IndexError):
+            f.sphere_energy(sphere_nodes(2, 32), 2.0, 1.0)
 
 
 class TestIncrementBound:

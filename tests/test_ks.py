@@ -85,7 +85,7 @@ class TestKsEnergy:
         energies = []
         for h0 in (0.05, 0.1, 0.2):
             cfg = EnergyConfig(h0=h0, h_sequence=h_seq, ball_order=(8, 64))
-            energies.append(ks_energy(m, unit_grid_32, cfg, keep_fields=False).ks_energy)
+            energies.append(ks_energy(m, unit_grid_32, cfg).ks_energy)
         assert energies[0] >= energies[1] >= energies[2]
 
     def test_ball_rule_exactness_linear_p2(self, unit_grid_16, cfg_small):
