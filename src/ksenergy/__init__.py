@@ -13,11 +13,8 @@ from .directional import (
     directional_derivative,
     directional_field,
     directional_vector,
-    frame_sum_energy,
     minimal_gradient,
     rep_energies,
-    rep_energy_ball,
-    rep_energy_sphere,
 )
 from .grid import DomainGrid, build_grid
 from .ks import approx_density, density_limit, ks_energy
@@ -57,7 +54,6 @@ __all__ = [
     "energy_normalization",
     "extrapolate",
     "fd_gradient",
-    "frame_sum_energy",
     "ks_energy",
     "linear_euclidean_density",
     "make_map",
@@ -65,8 +61,6 @@ __all__ = [
     "maxnorm_counterexample_constants",
     "minimal_gradient",
     "rep_energies",
-    "rep_energy_ball",
-    "rep_energy_sphere",
     "run_compare",
     "run_convergence",
     "run_counterexample",

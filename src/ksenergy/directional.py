@@ -32,6 +32,14 @@ The sup over D is realized in two layers, both deterministic:
 
 Both layers only ever evaluate members of the dense set, so every computed
 value is a lower bound of the true supremum, monotone in K by construction.
+
+The field holds one column per class of directions equal up to sign (g is
+even in nu), and every energy reads it the same way, by direction
+(`DirectionalField.columns`): the sphere average over a rule's nodes, the
+ball integral over its nodes' directions, the frame sum over e_1..e_n, and
+each K or sphere-order row of a convergence sweep. A column's value can
+still differ by 1 ulp with its position in the direction table, since the
+scan's projection matmul rounds by that layout.
 """
 
 import math
@@ -61,9 +69,16 @@ def _reduce_directions(dirs):
     lead = key[np.arange(key.shape[0]), np.argmax(key != 0, axis=1)]
     # the sign whose first nonzero entry is negative; + 0.0 turns -0.0 into 0.0
     key = np.where(lead[:, None] > 0, -key, key) + 0.0
-    _, first, inv = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return dirs[first[order]], np.argsort(order)[inv.ravel()]
+    # a stable sort of the rows by key (several times faster than np.unique
+    # over rows) puts each class's first occurrence at the head of its run
+    order = np.lexsort(key.T)
+    ranked = key[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = order[head]
+    inv = np.empty(len(order), dtype=np.intp)
+    inv[order] = np.argsort(np.argsort(first))[np.cumsum(head) - 1]
+    return dirs[np.sort(first)], inv
 
 
 def _snap_depth(delta):
@@ -78,42 +93,37 @@ class DirectionalField:
 
     dirs: np.ndarray  # (D, n) unit directions
     reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ refinement)
-    inv: np.ndarray  # (D,) reduced index of each direction
     gmin: np.ndarray  # (N,)
     dense_count: int
 
-    def at_prefix(self, k, cols=slice(None)):
-        """(N, D) g_nu from the first k anchors (+ refinement), expanded on each call.
+    def columns(self, directions, k=None):
+        """(N, len(directions)) g_nu at prefix k (default K), looked up by direction.
 
-        `cols` selects the directions to expand (all by default). Column
-        fancy indexing returns a Fortran-ordered table, and the energies'
-        matmuls over it round by that layout: an `np.take` copy (C order)
-        changes reports in the last digit.
+        Reduced together with `dirs`, each direction maps onto the
+        representative of its class, so any directions the field holds (up
+        to sign) read their own columns; one it lacks indexes past the
+        representatives (IndexError). Column fancy indexing returns a
+        Fortran-ordered table, and the energies' matmuls over it round by
+        that layout: an `np.take` copy (C order) changes reports in the last
+        digit.
         """
-        return self.reduced[k][:, self.inv[cols]]
+        _, inv = _reduce_directions(np.concatenate([self.dirs, directions]))
+        return self.reduced[self.dense_count if k is None else k][:, inv[len(self.dirs):]]
 
     @property
     def values(self):
-        """g_nu at the K = dense_count prefix."""
-        return self.at_prefix(self.dense_count)
+        """(N, D) g_nu at the K = dense_count prefix, expanded on each call."""
+        return self.columns(self.dirs)
 
     @property
     def values_doubled(self):
         """g_nu at the 2K prefix (the under-truncation probe), or None."""
         k = 2 * self.dense_count
-        return self.at_prefix(k) if k in self.reduced else None
+        return self.columns(self.dirs, k) if k in self.reduced else None
 
     def sphere_energy(self, rule, p, node_weight, k=None):
-        """(density, energy) of the sphere average of g_nu^p under `rule`, at prefix k (default K).
-
-        The rule's columns are looked up by direction: reduced together with
-        `dirs`, each rule node maps onto the representative of its class, so
-        any rule whose nodes the field holds (up to sign) reads its own
-        columns. A node the field lacks indexes past the representatives.
-        """
-        _, inv = _reduce_directions(np.concatenate([self.dirs, rule.nodes]))
-        g = self.reduced[self.dense_count if k is None else k][:, inv[len(self.dirs):]]
-        density = (g**p) @ rule.weights
+        """(density, energy) of the sphere average of g_nu^p under `rule`, at prefix k (default K)."""
+        density = (self.columns(rule.nodes, k) ** p) @ rule.weights
         return density, node_weight * pairwise_sum(density)
 
     def max_direction_gap(self):
@@ -148,7 +158,7 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
 
     space = metric_map.target
     anchors = space.dense_points(prefixes[-1])
-    reps, inv = _reduce_directions(dirs)
+    reps, _ = _reduce_directions(dirs)
 
     def work(start, stop):
         # errstate is per thread; overflow shows up as the NonFiniteResultError below
@@ -169,7 +179,7 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     if not np.all(np.isfinite(gmin)):
         raise _non_finite(metric_map)
 
-    return DirectionalField(dirs=dirs, reduced=reduced, inv=inv, gmin=gmin, dense_count=K)
+    return DirectionalField(dirs=dirs, reduced=reduced, gmin=gmin, dense_count=K)
 
 
 def _non_finite(metric_map):
@@ -197,7 +207,6 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     Returns ([g at each prefix length], gmin).
     """
     space = metric_map.target
-    n = pts.shape[1]
     N = pts.shape[0]
     R = reps.shape[0]
     K = cfg.dense_count
@@ -219,11 +228,7 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     for b0, b1 in zip([0] + ends, ends):
         xi = anchors[b0:b1]
         center = space.distance(stencil.u0[:, None, :], xi[None, :, :])
-        grads = np.empty((N, xi.shape[0], n))
-        for i in range(n):
-            fp = space.distance(stencil.plus[i][:, None, :], xi[None, :, :])
-            fm = space.distance(stencil.minus[i][:, None, :], xi[None, :, :])
-            grads[:, :, i] = (fp - fm) / (2.0 * delta)
+        grads = stencil.gradient(space, xi)
         grads[center < r_excl] = 0.0
         norms = np.linalg.norm(grads, axis=2)
         # a finite norm bounds every projection, and the strict update below
@@ -551,7 +556,6 @@ class RepEnergies:
     density_frame: Optional[np.ndarray] = None
     mask_indices: Optional[np.ndarray] = None
     mask_measure: float = 0.0
-    energy_sphere_prefix: Optional[dict] = None  # prefix length -> energy_sphere
     energy_sphere_doubled: Optional[float] = None
     under_truncation: bool = False
     field: Optional[DirectionalField] = None
@@ -562,9 +566,10 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
 
     All forms reuse a single anchor table per node, so the minimal gradient
     dominates every directional value structurally and the sphere/ball
-    comparison differs only by quadrature. `prefixes` is passed to
-    `directional_field`; the sphere energy is reported at each of its
-    lengths. `mask` is the h0-erosion mask, built here when not given.
+    comparison differs only by quadrature. Each form reads its columns of
+    the field by direction. `prefixes` is passed to `directional_field`;
+    the energies are at K, and the sphere energy also at 2K when the field
+    holds it. `mask` is the h0-erosion mask, built here when not given.
     """
     if mask is None:
         mask = grid.inner_mask(cfg.h0)
@@ -572,75 +577,40 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
     pts = grid.nodes[idx]
     n = grid.dim
 
-    groups = []
-    bounds = {}
-    pos = 0
-    sphere_rule = cfg.sphere_rule(n) if "sphere" in forms else None
-    if sphere_rule is not None:
-        groups.append(sphere_rule.nodes)
-        pos += len(sphere_rule.nodes)
-    ball_rule = cfg.ball_rule(n) if "ball" in forms else None
-    ball_dirs = ball_radii = None
-    if ball_rule is not None:
+    groups = {}  # form -> its directions, in field order
+    if "sphere" in forms:
+        sphere_rule = cfg.sphere_rule(n)
+        groups["sphere"] = sphere_rule.nodes
+    if "ball" in forms:
+        ball_rule = cfg.ball_rule(n)
         ball_radii = np.linalg.norm(ball_rule.nodes, axis=1)
         safe = np.where(ball_radii > 0, ball_radii, 1.0)[:, None]
-        ball_dirs = np.where(ball_radii[:, None] > 0, ball_rule.nodes / safe, 0.0)
-        zero = ball_radii == 0
-        if np.any(zero):
-            ball_dirs[zero] = np.eye(n)[0]
-        groups.append(ball_dirs)
-        bounds["ball"] = (pos, pos + len(ball_dirs))
-        pos += len(ball_dirs)
+        # a node at the origin has no direction: e_1 stands in, its modulus times radius 0
+        groups["ball"] = np.where(ball_radii[:, None] > 0, ball_rule.nodes / safe, np.eye(n)[0])
     if "frame" in forms:
-        groups.append(np.eye(n))
-        bounds["frame"] = (pos, pos + n)
-        pos += n
+        groups["frame"] = np.eye(n)
 
-    dirs = np.concatenate(groups, axis=0)
-    f = directional_field(metric_map, pts, dirs, cfg, grid, prefixes)
+    f = directional_field(metric_map, pts, np.concatenate(list(groups.values())), cfg, grid, prefixes)
 
     out = RepEnergies(mask_indices=idx, mask_measure=float(grid.node_weight * len(idx)), field=f)
-
-    def form_values(form):
-        # expand only this form's directions: the full (N, D) table is the
-        # largest array of a run
-        s, e = bounds[form]
-        return f.at_prefix(cfg.dense_count, slice(s, e))
-
-    if sphere_rule is not None:
-        energies = {k: f.sphere_energy(sphere_rule, cfg.p, grid.node_weight, k) for k in f.reduced}
-        out.density_sphere, out.energy_sphere = energies[cfg.dense_count]
-        out.energy_sphere_prefix = {k: energy for k, (_, energy) in energies.items()}
-        if 2 * cfg.dense_count in f.reduced:
-            out.energy_sphere_doubled = out.energy_sphere_prefix[2 * cfg.dense_count]
+    if "sphere" in forms:
+        out.density_sphere, out.energy_sphere = f.sphere_energy(sphere_rule, cfg.p, grid.node_weight)
+        doubled = 2 * cfg.dense_count
+        if doubled in f.reduced:
+            _, out.energy_sphere_doubled = f.sphere_energy(sphere_rule, cfg.p, grid.node_weight, doubled)
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
             out.under_truncation = (
                 abs(out.energy_sphere_doubled - out.energy_sphere) > cfg.truncation_rtol * ref
             )
-    if ball_rule is not None:
+    if "ball" in forms:
         c_np = energy_normalization(n, cfg.p)
-        moduli = form_values("ball") * ball_radii[None, :]
+        moduli = f.columns(groups["ball"]) * ball_radii[None, :]
         density_ball = c_np * (moduli**cfg.p) @ ball_rule.weights
         out.energy_ball = grid.node_weight * pairwise_sum(density_ball)
     if "frame" in forms:
-        out.density_frame = np.sum(form_values("frame") ** cfg.p, axis=1)
+        out.density_frame = np.sum(f.columns(groups["frame"]) ** cfg.p, axis=1)
         out.frame_sum = grid.node_weight * pairwise_sum(out.density_frame)
     return out
-
-
-def rep_energy_sphere(metric_map, grid, cfg):
-    """Energy as the integral of the sphere average of g_nu^p."""
-    return rep_energies(metric_map, grid, cfg, forms=("sphere",))
-
-
-def rep_energy_ball(metric_map, grid, cfg):
-    """Energy as c_{n,p} times the ball integral of |d_v u|^p."""
-    return rep_energies(metric_map, grid, cfg, forms=("ball",))
-
-
-def frame_sum_energy(metric_map, grid, cfg):
-    """Integral of sum_i g_{e_i}^p: the frame sum that overshoots the energy."""
-    return rep_energies(metric_map, grid, cfg, forms=("frame",))
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,12 @@ def approx_density(metric_map, x, h, cfg, grid=None):
     x = np.asarray(x, dtype=np.float64)
     if grid is not None and grid.boundary_distance(x[None, :]).min() <= h:
         raise OutOfInnerDomainError(f"point {x.tolist()} is not interior at depth h={h}")
-    n = x.shape[-1]
-    return float(approx_density_field(metric_map, x[None, :], h, cfg, n)[0])
+    return float(approx_density_field(metric_map, x[None, :], h, cfg)[0])
 
 
-def approx_density_field(metric_map, points, h, cfg, n, workers=1):
-    """Vectorized e_h over rows of `points` (assumed inside the h-erosion)."""
+def approx_density_field(metric_map, points, h, cfg):
+    """Vectorized e_h over rows of `points` (assumed inside the h-erosion), in cfg.workers threads."""
+    n = points.shape[1]
     rule = cfg.ball_rule(n)
     c_np = energy_normalization(n, cfg.p)
     base = metric_map.eval(points)
@@ -61,7 +61,7 @@ def approx_density_field(metric_map, points, h, cfg, n, workers=1):
                 acc += (d**cfg.p) @ w
         return acc
 
-    parts = run_chunked(work, points.shape[0], workers)
+    parts = run_chunked(work, points.shape[0], cfg.workers)
     out = np.concatenate(parts) if parts else np.zeros(0)
     with np.errstate(all="ignore"):
         density = c_np * out / h**cfg.p
@@ -112,9 +112,7 @@ def ks_energy(metric_map, grid, cfg, mask=None):
     for row, h in enumerate(h_values):
         if len(idx) == 0:
             break
-        fields[row] = approx_density_field(
-            metric_map, points, h, cfg, grid.dim, workers=cfg.workers
-        )
+        fields[row] = approx_density_field(metric_map, points, h, cfg)
     integrals = [grid.node_weight * pairwise_sum(fields[row]) for row in range(len(h_values))]
 
     seq = np.array(integrals)

@@ -71,6 +71,16 @@ class Stencil:
     u0: np.ndarray
     plus: list
     minus: list
+    delta: float
+
+    def gradient(self, space, anchors):
+        """(N, A, n) central-difference gradients of x -> d(u(x), xi) for the (A, rep_dim) anchors xi."""
+        grads = np.empty((self.u0.shape[0], anchors.shape[0], len(self.plus)))
+        for i, (plus, minus) in enumerate(zip(self.plus, self.minus)):
+            fp = space.distance(plus[:, None, :], anchors[None, :, :])
+            fm = space.distance(minus[:, None, :], anchors[None, :, :])
+            grads[:, :, i] = (fp - fm) / (2.0 * self.delta)
+        return grads
 
 
 def eval_stencil(metric_map, points, delta, grid=None):
@@ -97,7 +107,7 @@ def eval_stencil(metric_map, points, delta, grid=None):
         step[i] = delta
         plus.append(metric_map.eval(points + step))
         minus.append(metric_map.eval(points - step))
-    return Stencil(u0, plus, minus)
+    return Stencil(u0, plus, minus, delta)
 
 
 def fd_gradient(composed, x, delta):
@@ -111,12 +121,7 @@ def fd_gradient(composed, x, delta):
     single = x.ndim == 1
     pts = x[None, :] if single else x
     stencil = eval_stencil(composed.metric_map, pts, delta, composed.grid)
-    distance = composed.metric_map.target.distance
-    out = np.empty(pts.shape, dtype=np.float64)
-    for i in range(pts.shape[1]):
-        fp = distance(stencil.plus[i], composed.anchor)
-        fm = distance(stencil.minus[i], composed.anchor)
-        out[:, i] = (fp - fm) / (2.0 * delta)
+    out = stencil.gradient(composed.metric_map.target, composed.anchor[None, :])[:, 0, :]
     return out[0] if single else out
 
 
@@ -133,6 +138,8 @@ def _parse_matrix(text):
         raise ConfigError(f"malformed matrix spec {text!r}") from exc
     if mat.ndim != 2:
         raise ConfigError(f"malformed matrix spec {text!r}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError(f"matrix spec {text!r} has non-finite entries")
     return mat
 
 

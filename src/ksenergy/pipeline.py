@@ -249,13 +249,17 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
         # the K-prefix values are snapshots of one running max over the
         # anchor enumeration, so one scan to the largest K gives every row
         cfg_k = replace(cfg, check_truncation=False, refine_stages=0)
-        frag = rep_energies(metric_map, grid, cfg_k, forms=("sphere",), prefixes=ladder, mask=mask)
-        rows = [(k, frag.energy_sphere_prefix[k]) for k in ladder]
+        field = rep_energies(metric_map, grid, cfg_k, forms=("sphere",), prefixes=ladder, mask=mask).field
+        rule = cfg_k.sphere_rule(grid.dim)
+        rows = [(k, field.sphere_energy(rule, cfg.p, grid.node_weight, k)[1]) for k in ladder]
         tables["K_sweep"] = [("K", "rep_energy_sphere_prefix_only")] + rows
 
     if "sphere" in sweeps:
         # on S^1 each smaller rule's nodes are bit for bit nodes of the
-        # order-256 rule, so one field gives every row
+        # order-256 rule, so one field gives every row. A row equals a separate
+        # run at its order only as far as the scan's projections round alike:
+        # a column's value can move by 1 ulp with its position in the field's
+        # direction table. Checked on the catalog, not guaranteed.
         cfg_s = replace(cfg, sphere_order=256, check_truncation=False)
         field = rep_energies(metric_map, grid, cfg_s, forms=("sphere",), mask=mask).field
         rows = []
@@ -279,19 +283,24 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
 
 
 def run_oracle(which, p, matrix=None, nodes=None):
-    """oracle: reference constants as JSON."""
+    """oracle: reference constants as JSON; `nodes` None keeps each oracle's default node count."""
     if not math.isfinite(p):
         raise ConfigError(f"p must be finite, got {p}")
+    if nodes is not None and nodes < 1:
+        raise ConfigError(f"nodes must be at least 1, got {nodes}")
+    sizes = {} if nodes is None else {"nodes": nodes}
     report = {"schema_version": 1, "subcommand": "oracle", "which": which, "p": p}
     if which == "maxnorm":
-        frame, sphere = maxnorm_counterexample_constants(p, nodes=nodes or 10_000_000)
+        frame, sphere = maxnorm_counterexample_constants(p, **sizes)
         report.update(frame_sum=frame, sphere_average=sphere)
         return report
     if which == "linear":
         if matrix is None:
             raise ConfigError("oracle linear needs --matrix")
         a = _parse_matrix(matrix)
-        report.update(matrix=matrix, density=linear_euclidean_density(a, p, nodes=nodes or 1_000_000))
+        if a.shape[1] not in (2, 3):
+            raise ConfigError(f"the linear oracle needs a 2-d or 3-d domain, got {a.shape[1]}-d")
+        report.update(matrix=matrix, density=linear_euclidean_density(a, p, **sizes))
         if p == 2:
             report["trace_formula"] = float(np.sum(a * a) / a.shape[1])
         return report

@@ -11,7 +11,6 @@ from ksenergy import (
     directional_derivative,
     directional_field,
     directional_vector,
-    frame_sum_energy,
     make_map,
     make_space,
     minimal_gradient,
@@ -274,7 +273,7 @@ class TestNestedScan:
         f = directional_field(m, pts, dirs, cfg, unit_grid_16, prefixes=range(1, 65))
         for k in range(1, 65):
             single = directional_field(m, pts, dirs, replace(cfg, dense_count=k), unit_grid_16)
-            assert np.array_equal(f.at_prefix(k), single.values), k
+            assert np.array_equal(f.columns(f.dirs, k), single.values), k
 
     def test_prefixes_must_include_dense_count(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("euclidean:2"), 2)
@@ -591,12 +590,26 @@ class TestSphereLadder:
                 expected.append((order, rep_energies(metric_map, grid, cfg_o, forms=("sphere",)).energy_sphere))
             assert tables["sphere_sweep"][1:] == expected, workers
 
+    def test_columns_read_by_direction(self, unit_grid_16, cfg_small):
+        """A shuffled, sign-flipped subset of the field's directions reads exactly their columns, at K and 2K."""
+        m = make_map("swirl:0.3", make_space("euclidean:2"), 2)
+        f = directional_field(m, unit_grid_16.nodes[[50, 100, 150]], sphere_nodes(2, 16).nodes, cfg_small,
+                              unit_grid_16)
+        pick = np.random.default_rng(0).permutation(len(f.dirs))[:11]
+        subset = f.dirs[pick] * np.where(np.arange(11) % 2, -1.0, 1.0)[:, None]
+        assert np.array_equal(f.columns(subset), f.values[:, pick])
+        assert np.array_equal(f.columns(subset, 2 * f.dense_count), f.values_doubled[:, pick])
+
     def test_rule_the_field_lacks_raises(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("max_norm_plane"), 2)
         f = directional_field(m, X0[None, :], sphere_nodes(2, 16).nodes, cfg_small, unit_grid_16)
         f.sphere_energy(sphere_nodes(2, 8), 2.0, 1.0)
         with pytest.raises(IndexError):
             f.sphere_energy(sphere_nodes(2, 32), 2.0, 1.0)
+        for k in (f.dense_count, 2 * f.dense_count):
+            f.columns(f.dirs[:3], k)
+            with pytest.raises(IndexError):
+                f.columns(np.array([[math.cos(0.1), math.sin(0.1)]]), k)
 
 
 class TestIncrementBound:
@@ -634,7 +647,7 @@ class TestIncrementBound:
             check_increment_bound(m, unit_grid_16, np.array([1.0, 1.0]), 0.05, cfg_small)
 
 
-def test_frame_sum_energy_helper(unit_grid_16, cfg_small):
+def test_frame_sum_energy(unit_grid_16, cfg_small):
     m = make_map("identity", make_space("max_norm_plane"), 2)
-    frag = frame_sum_energy(m, unit_grid_16, cfg_small)
+    frag = rep_energies(m, unit_grid_16, cfg_small, forms=("frame",))
     assert frag.frame_sum / frag.mask_measure == pytest.approx(2.0, abs=1e-6)

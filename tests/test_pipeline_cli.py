@@ -222,6 +222,12 @@ class TestCli:
             pytest.param(["ks-energy", "--p", "inf"], id="p-inf"),
             pytest.param(["ks-energy", "--h0", "nan"], id="h0-nan"),
             pytest.param(["oracle", "--which", "maxnorm", "--p", "nan"], id="oracle-p-nan"),
+            pytest.param(["oracle", "--which", "maxnorm", "--nodes", "-5"], id="oracle-nodes-negative"),
+            pytest.param(["oracle", "--which", "maxnorm", "--nodes", "0"], id="oracle-nodes-zero"),
+            pytest.param(["oracle", "--which", "linear", "--matrix", "1,0,0;0,1,0;0,0,1", "--nodes", "-5"],
+                         id="oracle-3d-nodes-negative"),
+            pytest.param(["oracle", "--which", "linear", "--matrix", "1;2"], id="oracle-matrix-1d"),
+            pytest.param(["oracle", "--which", "linear", "--matrix", "nan,0;0,1"], id="oracle-matrix-nan"),
             pytest.param(["rep-energy", "--delta=-0.01"], id="delta-negative"),
             pytest.param(["rep-energy", "--delta", "0"], id="delta-zero"),
             pytest.param(["rep-energy", "--delta", "inf"], id="delta-inf"),
