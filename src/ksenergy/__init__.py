@@ -13,12 +13,11 @@ from .directional import (
     directional_derivative,
     directional_field,
     directional_vector,
-    minimal_gradient,
     rep_energies,
 )
 from .grid import DomainGrid, build_grid
-from .ks import approx_density, density_limit, ks_energy
-from .maps import ComposedField, MetricMap, compose_distance, fd_gradient, make_map
+from .ks import density_limit, ks_energy
+from .maps import MetricMap, make_map
 from .oracles import linear_euclidean_density, maxnorm_counterexample_constants
 from .pipeline import Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
 from .quadrature import (
@@ -34,7 +33,6 @@ from .spaces import MetricSpace, make_space, verify_metric_axioms
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComposedField",
     "DirectionalField",
     "DomainGrid",
     "EnergyConfig",
@@ -42,24 +40,20 @@ __all__ = [
     "MetricSpace",
     "Problem",
     "QuadratureRule",
-    "approx_density",
     "ball_nodes",
     "build_grid",
     "check_increment_bound",
-    "compose_distance",
     "density_limit",
     "directional_derivative",
     "directional_field",
     "directional_vector",
     "energy_normalization",
     "extrapolate",
-    "fd_gradient",
     "ks_energy",
     "linear_euclidean_density",
     "make_map",
     "make_space",
     "maxnorm_counterexample_constants",
-    "minimal_gradient",
     "rep_energies",
     "run_compare",
     "run_convergence",

@@ -121,8 +121,7 @@ def build_parser():
     p.add_argument("--which", choices=["maxnorm", "linear"], required=True)
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--matrix", default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.set_defaults(run=lambda args: (run_oracle(args.which, args.p, matrix=args.matrix, nodes=args.nodes), {}))
+    p.set_defaults(run=lambda args: (run_oracle(args.which, args.p, matrix=args.matrix), {}))
     return parser
 
 

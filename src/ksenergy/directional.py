@@ -30,8 +30,11 @@ The sup over D is realized in two layers, both deterministic:
   split only at the end of a sweep, by the trial each row took last. The
   result is exactly that of a climb row by row.
 
-Both layers only ever evaluate members of the dense set, so every computed
-value is a lower bound of the true supremum, monotone in K by construction.
+Both layers only ever evaluate members of the dense set, and values are
+monotone in K by construction. They are lower bounds of the true supremum
+only as far as no stencil straddles a kink of x -> d(u(x), xi): observed,
+not proved, when the map, grid and fd step are all dyadic (README
+"Numerical notes" gives a non-dyadic overshoot; ROADMAP item 1).
 
 The field holds one column per class of directions equal up to sign (g is
 even in nu), and every energy reads it the same way, by direction
@@ -528,16 +531,6 @@ def directional_vector(metric_map, x, v, cfg, grid=None):
     if vnorm == 0.0:
         raise InvalidDirectionError("direction vector must be nonzero")
     return vnorm * directional_derivative(metric_map, x, v / vnorm, cfg, grid)
-
-
-def minimal_gradient(metric_map, x, cfg, grid=None):
-    """sup over dense anchors of |grad d(u(x), anchor)| (Euclidean norm)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    f = directional_field(metric_map, x[None, :], e1[None, :], cfg, grid)
-    return float(f.gmin[0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class StencilRangeError(KSEnergyError):
     """A finite-difference stencil leaves the evaluable region."""
 
 
-class OutOfInnerDomainError(KSEnergyError):
-    """A point lies outside the eroded inner domain required by the operation."""
-
-
 class ExtrapolationDataError(KSEnergyError):
     """Not enough (h, value) pairs to extrapolate."""
 

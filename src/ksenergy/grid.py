@@ -30,20 +30,12 @@ class DomainGrid:
         return len(self.resolution)
 
     @property
-    def n_nodes(self):
-        return self.nodes.shape[0]
-
-    @property
     def measure(self):
         return float(np.prod(self.upper - self.lower))
 
-    def weights(self):
-        return np.full(self.n_nodes, self.node_weight)
-
-    def boundary_distance(self, points=None):
-        """Exact distance to the box boundary (positive inside)."""
-        x = self.nodes if points is None else np.asarray(points, dtype=np.float64)
-        return np.min(np.minimum(x - self.lower, self.upper - x), axis=-1)
+    def boundary_distance(self):
+        """Exact distance of each node to the box boundary (positive inside)."""
+        return np.min(np.minimum(self.nodes - self.lower, self.upper - self.nodes), axis=-1)
 
     def inner_mask(self, h):
         """Boolean mask of nodes with boundary distance > h.

@@ -16,21 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExtrapolationWarning, NonFiniteResultError, OutOfInnerDomainError
+from .errors import ExtrapolationWarning, NonFiniteResultError
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization, extrapolate_fields
-
-
-def approx_density(metric_map, x, h, cfg, grid=None):
-    """Scaled ball average of p-th power increments at a single point.
-
-    Requires x to lie in the h-erosion of the grid's box when a grid is
-    given; quadrature orders and p come from the config.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if grid is not None and grid.boundary_distance(x[None, :]).min() <= h:
-        raise OutOfInnerDomainError(f"point {x.tolist()} is not interior at depth h={h}")
-    return float(approx_density_field(metric_map, x[None, :], h, cfg)[0])
 
 
 def approx_density_field(metric_map, points, h, cfg):

@@ -1,4 +1,4 @@
-"""Maps from the domain into a target space, and their composed scalar fields.
+"""Maps from the domain into a target space, and their finite-difference stencils.
 
 A map is an analytic evaluation contract: the grid is only ever used for the
 outer integration, while map values (including at off-grid quadrature and
@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, MapEvaluationError, StencilRangeError
-from .grid import DomainGrid
 from .spaces import TAU, CircleSpace, EuclideanSpace, MaxNormPlane, MetricSpace, QPointsSpace
 
 
@@ -44,24 +43,6 @@ class MetricMap:
                 f"map {self.label!r} returned shape {out.shape} for input {x.shape}", point=x
             )
         return out
-
-
-@dataclass(frozen=True)
-class ComposedField:
-    """x -> distance(u(x), anchor), cached on the grid nodes."""
-
-    metric_map: MetricMap
-    anchor: np.ndarray
-    grid: DomainGrid
-    values: np.ndarray  # (N,) at grid nodes
-
-
-def compose_distance(metric_map, anchor, grid):
-    """Build the composed field x -> d(u(x), anchor) cached at grid nodes."""
-    anchor = metric_map.target.validate_point(anchor)
-    values = metric_map.target.distance(metric_map.eval(grid.nodes), anchor)
-    values.setflags(write=False)
-    return ComposedField(metric_map=metric_map, anchor=anchor, grid=grid, values=values)
 
 
 @dataclass(frozen=True)
@@ -108,21 +89,6 @@ def eval_stencil(metric_map, points, delta, grid=None):
         plus.append(metric_map.eval(points + step))
         minus.append(metric_map.eval(points - step))
     return Stencil(u0, plus, minus, delta)
-
-
-def fd_gradient(composed, x, delta):
-    """Central-difference gradient of a composed field at point(s) x.
-
-    Evaluates the underlying map directly at x +- delta * e_i. Raises
-    StencilRangeError when the stencil leaves the evaluable region (domain
-    box grown by the map's margin).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    stencil = eval_stencil(composed.metric_map, pts, delta, composed.grid)
-    out = stencil.gradient(composed.metric_map.target, composed.anchor[None, :])[:, 0, :]
-    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

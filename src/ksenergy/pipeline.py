@@ -102,18 +102,21 @@ def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep
             }
         )
     report.update(values)
-    for key, value in report.items():
-        numbers = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-            raise NonFiniteResultError(
-                f"map {problem.map_spec!r} into {problem.space_spec} gives a non-finite {key} at p={cfg.p!r}"
-            )
+    _require_finite(report, f"map {problem.map_spec!r} into {problem.space_spec}", cfg.p)
     coded = list(ks.warnings) if ks is not None else (["empty_mask"] if empty_mask else [])
     if report.get("under_truncation"):
         coded.append("under_truncation")
     report["warnings"] = coded + list(warnings)
     report["timing"] = {"total_s": time.perf_counter() - t0}
     return report
+
+
+def _require_finite(report, source, p):
+    """A non-finite report number is a NonFiniteResultError: JSON has no such numbers."""
+    for key, value in report.items():
+        numbers = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise NonFiniteResultError(f"{source} gives a non-finite {key} at p={p!r}")
 
 
 def _gap(value, ref, mask_measure):
@@ -176,7 +179,7 @@ def run_compare(problem, cfg):
     return report, {"density_gap": table}, (ks, frag)
 
 
-def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
+def run_counterexample(problem, cfg):
     """counterexample: frame sum vs sphere average for the max-norm identity."""
     if problem.space_spec != "max_norm_plane":
         raise ConfigError("counterexample requires the max_norm_plane target")
@@ -187,7 +190,7 @@ def run_counterexample(problem, cfg, oracle_nodes=10_000_000):
     space, metric_map, grid = problem.build()
     t0 = time.perf_counter()
     frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "frame"))
-    oracle_frame, oracle_sphere = maxnorm_counterexample_constants(cfg.p, nodes=oracle_nodes)
+    oracle_frame, oracle_sphere = maxnorm_counterexample_constants(cfg.p)
     if frag.mask_measure:
         sphere_density = frag.energy_sphere / frag.mask_measure
         frame_density = frag.frame_sum / frag.mask_measure
@@ -282,26 +285,26 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
     return report, tables, None
 
 
-def run_oracle(which, p, matrix=None, nodes=None):
-    """oracle: reference constants as JSON; `nodes` None keeps each oracle's default node count."""
+def run_oracle(which, p, matrix=None):
+    """oracle: reference constants as JSON; a non-finite constant is a NonFiniteResultError."""
     if not math.isfinite(p):
         raise ConfigError(f"p must be finite, got {p}")
-    if nodes is not None and nodes < 1:
-        raise ConfigError(f"nodes must be at least 1, got {nodes}")
-    sizes = {} if nodes is None else {"nodes": nodes}
     report = {"schema_version": 1, "subcommand": "oracle", "which": which, "p": p}
     if which == "maxnorm":
-        frame, sphere = maxnorm_counterexample_constants(p, **sizes)
+        frame, sphere = maxnorm_counterexample_constants(p)
         report.update(frame_sum=frame, sphere_average=sphere)
-        return report
-    if which == "linear":
+        source = "the maxnorm oracle"
+    elif which == "linear":
         if matrix is None:
             raise ConfigError("oracle linear needs --matrix")
         a = _parse_matrix(matrix)
         if a.shape[1] not in (2, 3):
             raise ConfigError(f"the linear oracle needs a 2-d or 3-d domain, got {a.shape[1]}-d")
-        report.update(matrix=matrix, density=linear_euclidean_density(a, p, **sizes))
+        report.update(matrix=matrix, density=linear_euclidean_density(a, p))
         if p == 2:
             report["trace_formula"] = float(np.sum(a * a) / a.shape[1])
-        return report
-    raise ConfigError(f"unknown oracle {which!r}")
+        source = f"the linear oracle on {matrix!r}"
+    else:
+        raise ConfigError(f"unknown oracle {which!r}")
+    _require_finite(report, source, p)
+    return report

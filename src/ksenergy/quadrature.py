@@ -48,10 +48,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def dim(self):
-        return self.nodes.shape[1]
-
     def integrate(self, values):
         """Weighted sum of per-node values (leading axis = nodes)."""
         v = np.asarray(values, dtype=np.float64)

@@ -176,18 +176,19 @@ def test_criterion_5_property_suites(unit_grid_16, cfg_small):
         fields[map_spec] = frag
         if frag.field.max_direction_gap() > 1e-9:
             failures.append(f"domination {map_spec}")
+        values = frag.field.values  # each read looks the columns up by direction
         dirs = np.round(frag.field.dirs, 12)
         index = {tuple(d): j for j, d in enumerate(dirs)}
         for j, d in enumerate(dirs):
             k = index.get(tuple(-d))
-            if k is not None and not np.array_equal(frag.field.values[:, j], frag.field.values[:, k]):
+            if k is not None and not np.array_equal(values[:, j], values[:, k]):
                 failures.append(f"evenness {map_spec}")
                 break
         ref = max(abs(frag.energy_sphere), 1e-12)
         if abs(frag.energy_sphere - frag.energy_ball) / ref > 5e-4:
             failures.append(f"sphere/ball {map_spec}")
         if frag.field.values_doubled is not None and np.any(
-            frag.field.values_doubled < frag.field.values - 1e-15
+            frag.field.values_doubled < values - 1e-15
         ):
             failures.append(f"K-monotonicity {map_spec}")
 

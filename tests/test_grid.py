@@ -7,9 +7,9 @@ from ksenergy.errors import EmptyMaskWarning, InvalidDomainError
 
 def test_uniform_partition_counts_and_weights():
     g = build_grid([0, 0], [1, 1], [10, 10])
-    assert g.n_nodes == 100
+    assert g.nodes.shape[0] == 100
     assert g.node_weight == pytest.approx(0.01, abs=1e-16)
-    assert g.weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert g.node_weight * g.nodes.shape[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cell_centers_1d():
@@ -19,7 +19,7 @@ def test_cell_centers_1d():
 
 def test_total_measure_exact():
     g = build_grid([0, 0], [2, 3], [8, 12])
-    assert g.weights().sum() == pytest.approx(6.0, abs=1e-12)
+    assert g.node_weight * g.nodes.shape[0] == pytest.approx(6.0, abs=1e-12)
     assert g.measure == 6.0
 
 
@@ -65,6 +65,8 @@ def test_degenerate_box_rejected():
 
 
 def test_boundary_distance_formula():
-    g = build_grid([0, 0], [1, 1], [4, 4])
-    x = np.array([[0.3, 0.45]])
-    assert g.boundary_distance(x)[0] == pytest.approx(0.3, abs=1e-15)
+    g = build_grid([0, 0], [1, 2], [4, 4])
+    # per-axis distances of the cell centers, then the nearer axis per node (C order)
+    dx = np.array([0.125, 0.375, 0.375, 0.125])
+    dy = np.array([0.25, 0.75, 0.75, 0.25])
+    assert g.boundary_distance() == pytest.approx(np.minimum.outer(dx, dy).ravel(), abs=1e-15)

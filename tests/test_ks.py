@@ -3,52 +3,52 @@ import math
 import numpy as np
 import pytest
 
-from ksenergy import EnergyConfig, approx_density, build_grid, density_limit, ks_energy, make_map, make_space
-from ksenergy.errors import ConfigError, OutOfInnerDomainError
-from ksenergy.ks import _oscillates
+from ksenergy import EnergyConfig, build_grid, density_limit, ks_energy, make_map, make_space
+from ksenergy.errors import ConfigError
+from ksenergy.ks import _oscillates, approx_density_field
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 
 
+def _density(metric_map, x, h, cfg):
+    """e_h at the single interior point x."""
+    return float(approx_density_field(metric_map, x[None], h, cfg)[0])
+
+
 class TestApproxDensity:
-    def test_constant_map_is_zero(self, unit_grid_16, cfg_small):
+    def test_constant_map_is_zero(self, cfg_small):
         space = make_space("euclidean:2")
         m = make_map("constant", space, 2)
-        assert approx_density(m, np.array([0.5, 0.5]), 0.01, cfg_small, unit_grid_16) == 0.0
+        assert _density(m, np.array([0.5, 0.5]), 0.01, cfg_small) == 0.0
 
-    def test_identity_density_is_one(self, unit_grid_16, cfg_small):
+    def test_identity_density_is_one(self, cfg_small):
         # c_{2,2} * integral over the ball of |v|^2 = 1 exactly; the radial
         # rule is exact on r^3 and the angle rule on degree-2 trig
         m = make_map("identity", make_space("euclidean:2"), 2)
-        val = approx_density(m, np.array([0.5, 0.5]), 0.025, cfg_small, unit_grid_16)
+        val = _density(m, np.array([0.5, 0.5]), 0.025, cfg_small)
         assert val == pytest.approx(1.0, abs=1e-12)
 
-    def test_max_norm_density_and_h_independence(self, unit_grid_16, cfg_small):
+    def test_max_norm_density_and_h_independence(self, cfg_small):
         m = make_map("identity", make_space("max_norm_plane"), 2)
         vals = [
-            approx_density(m, np.array([0.5, 0.5]), h, cfg_small, unit_grid_16)
+            _density(m, np.array([0.5, 0.5]), h, cfg_small)
             for h in (0.05, 0.025, 0.0125)
         ]
         assert vals[0] == pytest.approx(MAXNORM_DENSITY, abs=5e-4)
         # increments scale exactly linearly in h, so e_h is h-independent
         assert max(vals) - min(vals) < 1e-13
 
-    def test_winding_density(self, unit_grid_16, cfg_small):
+    def test_winding_density(self, cfg_small):
         m = make_map("winding:2", make_space("circle"), 2)
-        val = approx_density(m, np.array([0.5, 0.5]), 0.02, cfg_small, unit_grid_16)
+        val = _density(m, np.array([0.5, 0.5]), 0.02, cfg_small)
         assert val == pytest.approx(2.0, abs=1e-12)
 
-    def test_out_of_inner_domain_rejected(self, unit_grid_16, cfg_small):
-        m = make_map("identity", make_space("euclidean:2"), 2)
-        with pytest.raises(OutOfInnerDomainError):
-            approx_density(m, np.array([0.01, 0.5]), 0.05, cfg_small, unit_grid_16)
-
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_identity_density_one_for_every_p(self, unit_grid_16, p):
+    def test_identity_density_one_for_every_p(self, p):
         # the (n + p) / (n omega_n) normalization makes the identity density 1
         cfg = EnergyConfig(p=p, h_count=3)
         m = make_map("identity", make_space("euclidean:2"), 2)
-        val = approx_density(m, np.array([0.375, 0.625]), 0.02, cfg, unit_grid_16)
+        val = _density(m, np.array([0.375, 0.625]), 0.02, cfg)
         assert val == pytest.approx(1.0, abs=1e-8)
 
 
@@ -88,10 +88,10 @@ class TestKsEnergy:
             energies.append(ks_energy(m, unit_grid_32, cfg).ks_energy)
         assert energies[0] >= energies[1] >= energies[2]
 
-    def test_ball_rule_exactness_linear_p2(self, unit_grid_16, cfg_small):
+    def test_ball_rule_exactness_linear_p2(self, cfg_small):
         a = np.array([[1.0, 0.5], [0.25, 2.0]])
         m = make_map("linear:1,0.5;0.25,2", make_space("euclidean:2"), 2)
-        val = approx_density(m, np.array([0.5, 0.5]), 0.02, cfg_small, unit_grid_16)
+        val = _density(m, np.array([0.5, 0.5]), 0.02, cfg_small)
         assert val == pytest.approx(np.sum(a * a) / 2.0, abs=1e-12)
 
     def test_empty_mask_flagged(self):

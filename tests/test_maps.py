@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksenergy import build_grid, compose_distance, fd_gradient, make_map, make_space
+from ksenergy import build_grid, make_map, make_space
 from ksenergy.errors import ConfigError, MapEvaluationError, StencilRangeError
-from ksenergy.maps import MetricMap
+from ksenergy.maps import MetricMap, eval_stencil
 
 
 @pytest.fixture(scope="module")
@@ -44,23 +44,32 @@ class TestEval:
         assert err.value.point is not None
 
 
+def _field(metric_map, anchor, grid):
+    """x -> d(u(x), anchor) at the grid nodes."""
+    return metric_map.target.distance(metric_map.eval(grid.nodes), np.asarray(anchor, dtype=np.float64))
+
+
+def _gradient(metric_map, anchor, points, delta, grid):
+    """(N, n) central-difference gradients of x -> d(u(x), anchor) at the rows of `points`."""
+    stencil = eval_stencil(metric_map, np.atleast_2d(points), delta, grid)
+    return stencil.gradient(metric_map.target, np.asarray(anchor, dtype=np.float64)[None])[:, 0]
+
+
 class TestComposedFields:
     def test_identity_distance_to_origin_1d(self):
         g = build_grid([-1.0], [1.0], [8])
         m = make_map("identity", make_space("euclidean:1"), 1)
-        f = compose_distance(m, np.array([0.0]), g)
-        assert f.values == pytest.approx(np.abs(g.nodes[:, 0]), abs=1e-15)
+        assert _field(m, [0.0], g) == pytest.approx(np.abs(g.nodes[:, 0]), abs=1e-15)
 
     def test_constant_map_zero_field(self, grid2):
         space = make_space("euclidean:2")
         m = make_map("constant", space, 2)
-        f = compose_distance(m, space.dense_point(0), grid2)
-        assert np.all(f.values == 0.0)
+        assert np.all(_field(m, space.dense_point(0), grid2) == 0.0)
 
     def test_max_norm_field_formula(self, grid2):
         m = make_map("identity", make_space("max_norm_plane"), 2)
-        f = compose_distance(m, np.array([0.0, 0.0]), grid2)
-        assert f.values == pytest.approx(np.max(np.abs(grid2.nodes), axis=1), abs=1e-15)
+        values = _field(m, [0.0, 0.0], grid2)
+        assert values == pytest.approx(np.max(np.abs(grid2.nodes), axis=1), abs=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -72,10 +81,8 @@ class TestComposedFields:
         g = build_grid([0, 0], [1, 1], [8, 8])
         space = make_space("max_norm_plane")
         m = make_map("identity", space, 2)
-        fx = compose_distance(m, np.array(xi), g)
-        fe = compose_distance(m, np.array(eta), g)
         bound = space.distance(np.array(xi), np.array(eta))
-        assert np.max(np.abs(fx.values - fe.values)) <= bound + 1e-12
+        assert np.max(np.abs(_field(m, xi, g) - _field(m, eta, g))) <= bound + 1e-12
 
     def test_reverse_triangle_sup_monotone_in_prefix(self, grid2):
         """sup_k |field_k(x) - field_k(y)| grows with K, below d(u(x), u(y))."""
@@ -97,20 +104,17 @@ class TestFdGradient:
     def test_linear_region_of_absolute_value(self):
         g = build_grid([-1.0], [1.0], [8])
         m = make_map("identity", make_space("euclidean:1"), 1)
-        f = compose_distance(m, np.array([0.0]), g)
-        grad = fd_gradient(f, np.array([0.5]), 1e-4)
-        assert grad[0] == pytest.approx(1.0, abs=1e-8)
+        assert _gradient(m, [0.0], [0.5], 1e-4, g)[0, 0] == pytest.approx(1.0, abs=1e-8)
 
     def test_constant_field_zero_gradient(self, grid2):
         space = make_space("euclidean:2")
         m = make_map("constant", space, 2)
-        f = compose_distance(m, space.dense_point(0), grid2)
-        assert fd_gradient(f, np.array([0.4, 0.6]), 1e-4) == pytest.approx([0.0, 0.0], abs=1e-12)
+        grad = _gradient(m, space.dense_point(0), [0.4, 0.6], 1e-4, grid2)[0]
+        assert grad == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_max_norm_gradient_off_diagonal(self, grid2):
         m = make_map("identity", make_space("max_norm_plane"), 2)
-        f = compose_distance(m, np.array([0.0, 0.0]), grid2)
-        grad = fd_gradient(f, np.array([0.7, 0.2]), 1e-4)
+        grad = _gradient(m, [0.0, 0.0], [0.7, 0.2], 1e-4, grid2)[0]
         assert grad == pytest.approx([1.0, 0.0], abs=1e-8)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
@@ -118,27 +122,24 @@ class TestFdGradient:
         """Central differences recover a linear field's slope for any step."""
         g = build_grid([0, 0], [1, 1], [8, 8])
         m = make_map("linear:0.75,-0.5", make_space("euclidean:1"), 2)
-        f = compose_distance(m, np.array([50.0]), g)  # remote anchor: field is affine
-        grad = fd_gradient(f, np.array([0.4, 0.6]), delta)
+        grad = _gradient(m, [50.0], [0.4, 0.6], delta, g)[0]  # remote anchor: field is affine
         assert grad == pytest.approx([-0.75, 0.5], abs=1e-9)
 
     def test_batch_matches_single(self, grid2):
         m = make_map("identity", make_space("euclidean:2"), 2)
-        f = compose_distance(m, np.array([2.0, 2.0]), grid2)
         pts = grid2.nodes[[3, 17, 200]]
-        batch = fd_gradient(f, pts, 1e-4)
+        batch = _gradient(m, [2.0, 2.0], pts, 1e-4, grid2)
         for row, x in zip(batch, pts):
-            assert row == pytest.approx(fd_gradient(f, x, 1e-4), abs=1e-14)
+            assert row == pytest.approx(_gradient(m, [2.0, 2.0], x, 1e-4, grid2)[0], abs=1e-14)
 
     def test_stencil_leaving_margin_raises(self):
         g = build_grid([0, 0], [1, 1], [8, 8])
         space = make_space("euclidean:2")
         bounded = MetricMap(space, lambda x: np.array(x, copy=True), "bounded-identity", margin=0.0)
-        f = compose_distance(bounded, np.array([0.0, 0.0]), g)
         with pytest.raises(StencilRangeError):
-            fd_gradient(f, np.array([0.0625, 0.5]), 0.1)
+            _gradient(bounded, [0.0, 0.0], [0.0625, 0.5], 0.1, g)
         with pytest.raises(StencilRangeError):
-            fd_gradient(f, np.array([0.5, 0.5]), -1e-3)
+            _gradient(bounded, [0.0, 0.0], [0.5, 0.5], -1e-3, g)
 
 
 def test_make_map_validation():

@@ -50,7 +50,7 @@ class TestRunners:
 
     def test_counterexample_values(self):
         problem = small_problem("identity", "max_norm_plane")
-        report, _, _ = run_counterexample(problem, EnergyConfig(sphere_order=256, **{k: v for k, v in FAST_CFG.items() if k != "sphere_order"}), oracle_nodes=2_000_000)
+        report, _, _ = run_counterexample(problem, EnergyConfig(sphere_order=256, **{k: v for k, v in FAST_CFG.items() if k != "sphere_order"}))
         assert report["strict_inequality"]
         assert report["sphere_oracle_gap"] <= 1e-4
         assert report["frame_oracle_gap"] <= 1e-6
@@ -72,7 +72,7 @@ class TestRunners:
         """The 2K probe flag of counterexample gets its coded warning, so --strict sees it."""
         problem = Problem("max_norm_plane", "identity", (0.0, 0.0), (1.0, 1.0), (8, 8))
         cfg = EnergyConfig(dense_count=1, refine_stages=0, sphere_order=16, h_count=3)
-        report, _, _ = run_counterexample(problem, cfg, oracle_nodes=100_000)
+        report, _, _ = run_counterexample(problem, cfg)
         assert report["under_truncation"] is True
         assert report["warnings"] == ["under_truncation", "frame_sum_not_larger"]
 
@@ -117,8 +117,8 @@ class TestRunners:
         assert 1.5 <= slope <= 2.6
 
     def test_oracle_runner(self):
-        out = run_oracle("maxnorm", 2.0, nodes=500_000)
-        assert out["sphere_average"] == pytest.approx((2 + math.pi) / (2 * math.pi), abs=1e-7)
+        out = run_oracle("maxnorm", 2.0)
+        assert out["sphere_average"] == pytest.approx((2 + math.pi) / (2 * math.pi), abs=1e-15)
         out = run_oracle("linear", 2.0, matrix="1,0;0,2")
         assert out["density"] == pytest.approx(out["trace_formula"], abs=1e-8)
         with pytest.raises(ConfigError):
@@ -222,10 +222,6 @@ class TestCli:
             pytest.param(["ks-energy", "--p", "inf"], id="p-inf"),
             pytest.param(["ks-energy", "--h0", "nan"], id="h0-nan"),
             pytest.param(["oracle", "--which", "maxnorm", "--p", "nan"], id="oracle-p-nan"),
-            pytest.param(["oracle", "--which", "maxnorm", "--nodes", "-5"], id="oracle-nodes-negative"),
-            pytest.param(["oracle", "--which", "maxnorm", "--nodes", "0"], id="oracle-nodes-zero"),
-            pytest.param(["oracle", "--which", "linear", "--matrix", "1,0,0;0,1,0;0,0,1", "--nodes", "-5"],
-                         id="oracle-3d-nodes-negative"),
             pytest.param(["oracle", "--which", "linear", "--matrix", "1;2"], id="oracle-matrix-1d"),
             pytest.param(["oracle", "--which", "linear", "--matrix", "nan,0;0,1"], id="oracle-matrix-nan"),
             pytest.param(["rep-energy", "--delta=-0.01"], id="delta-negative"),
@@ -284,21 +280,23 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "ConfigError"
 
-    @pytest.mark.parametrize("subcommand", ["ks-energy", "rep-energy", "convergence"])
+    @pytest.mark.parametrize("subcommand", ["ks-energy", "rep-energy", "convergence", "oracle"])
     def test_non_finite_result_is_structured_error(self, subcommand):
         """An overflowing map exits 1 with one JSON error on stderr: no traceback, no numpy warnings."""
-        # the K sweep scans prefixes only: no truncation probe, no refinement
-        extra = ["--sweep", "K"] if subcommand == "convergence" else []
-        proc = run_cli(
-            [subcommand, "--map", "linear:1e200,0;0,1",
-             "--resolution", "8", "--h-count", "3", "--ball-order", "4,16", "--K", "32", "--sphere-order", "16"]
-            + extra
-        )
+        if subcommand == "oracle":
+            args = ["oracle", "--which", "linear", "--matrix", "1e200,0;0,1", "--p", "2"]
+        else:
+            # the K sweep scans prefixes only: no truncation probe, no refinement
+            extra = ["--sweep", "K"] if subcommand == "convergence" else []
+            args = ([subcommand, "--map", "linear:1e200,0;0,1", "--resolution", "8", "--h-count", "3",
+                     "--ball-order", "4,16", "--K", "32", "--sphere-order", "16"] + extra)
+        proc = run_cli(args)
         assert proc.returncode == 1
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "NonFiniteResultError"
-        assert "linear:1e200,0;0,1" in err["error"]["message"]
+        assert ("1e200,0;0,1" if subcommand == "oracle" else "linear:1e200,0;0,1") in err["error"]["message"]
 
     def test_non_finite_report_number_is_structured_error(self, capsys):
         """Finite moduli g whose g**p overflows: exit 1 with one JSON error, no report."""
@@ -392,7 +390,7 @@ class TestCli:
             assert main(args + ["--strict"]) == 3
 
     def test_oracle_cli(self, capsys):
-        assert main(["oracle", "--which", "maxnorm", "--p", "2", "--nodes", "100000"]) == 0
+        assert main(["oracle", "--which", "maxnorm", "--p", "2"]) == 0
         body = json.loads(capsys.readouterr().out)
         assert body["frame_sum"] == 2.0
 
