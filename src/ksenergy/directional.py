@@ -37,12 +37,15 @@ not proved, when the map, grid and fd step are all dyadic (README
 "Numerical notes" gives a non-dyadic overshoot; ROADMAP item 1).
 
 The field holds one column per class of directions equal up to sign (g is
-even in nu), and every energy reads it the same way, by direction
-(`DirectionalField.columns`): the sphere average over a rule's nodes, the
-ball integral over its nodes' directions, the frame sum over e_1..e_n, and
-each K or sphere-order row of a convergence sweep. A column's value can
-still differ by 1 ulp with its position in the direction table, since the
-scan's projection matmul rounds by that layout.
+even in nu), and every energy reads it the same way, by direction: the
+sphere average over a rule's nodes, the ball integral over its nodes'
+directions, the frame sum over e_1..e_n, and each K or sphere-order row of
+a convergence sweep. Each energy's density is reduced per node chunk in the
+worker threads (`DirectionalField.density`), never from a full (nodes,
+directions) table, but with that table's operations, order and layout, so
+bit for bit the same. A column's value can still differ by 1 ulp with its
+position in the direction table, since the scan's projection matmul rounds
+by that layout.
 """
 
 import math
@@ -98,20 +101,29 @@ class DirectionalField:
     reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ refinement)
     gmin: np.ndarray  # (N,)
     dense_count: int
+    workers: int = 1  # threads that reduce its densities (cfg.workers of the run)
 
     def columns(self, directions, k=None):
         """(N, len(directions)) g_nu at prefix k (default K), looked up by direction.
 
+        Column fancy indexing returns a Fortran-ordered table, and matmuls
+        over it round by that layout: an `np.take` copy (C order) changes
+        reports in the last digit.
+        """
+        return self.reduced[self.dense_count if k is None else k][:, self._column_index(directions)]
+
+    def _column_index(self, directions):
+        """The field column of each direction.
+
         Reduced together with `dirs`, each direction maps onto the
         representative of its class, so any directions the field holds (up
-        to sign) read their own columns; one it lacks indexes past the
-        representatives (IndexError). Column fancy indexing returns a
-        Fortran-ordered table, and the energies' matmuls over it round by
-        that layout: an `np.take` copy (C order) changes reports in the last
-        digit.
+        to sign) read their own columns; one it lacks is an IndexError.
         """
         _, inv = _reduce_directions(np.concatenate([self.dirs, directions]))
-        return self.reduced[self.dense_count if k is None else k][:, inv[len(self.dirs):]]
+        cols = inv[len(self.dirs):]
+        if np.any(cols >= self.reduced[self.dense_count].shape[1]):
+            raise IndexError("the field holds no column for some of the directions")
+        return cols
 
     @property
     def values(self):
@@ -124,9 +136,40 @@ class DirectionalField:
         k = 2 * self.dense_count
         return self.columns(self.dirs, k) if k in self.reduced else None
 
+    def density(self, directions, p, weights=None, radii=None, scale=None, k=None):
+        """(N,) scale * sum_j weights_j (radii_j g_j)^p over `directions`, at prefix k (default K).
+
+        Without weights it is the plain sum over the directions (the frame
+        sum); radii and scale default to 1. The density is reduced per node
+        chunk in `workers` threads, so no (N, len(directions)) table is
+        built. Each chunk gathers its rows, then its columns (the
+        Fortran-ordered block of `columns`), and applies * radii, ** p,
+        * scale and @ weights in place, in that order: the operations and
+        layout of a full-size table, so the values are the same bit for bit.
+        """
+        table = self.reduced[self.dense_count if k is None else k]
+        cols = self._column_index(directions)
+
+        def work(start, stop):
+            # chunks start at multiples of CHUNK (a multiple of 4), so a
+            # single-threaded BLAS rounds a row in the matmul's tail path only
+            # where it would in the full table; errstate is per thread, and
+            # an overflow shows up as a non-finite report number
+            with np.errstate(all="ignore"):
+                block = table[start:stop][:, cols]
+                if radii is not None:
+                    block *= radii
+                block **= p
+                if scale is not None:
+                    block *= scale
+                return block @ weights if weights is not None else np.sum(block, axis=1)
+
+        parts = run_chunked(work, table.shape[0], self.workers)
+        return np.concatenate(parts) if parts else np.zeros(0)
+
     def sphere_energy(self, rule, p, node_weight, k=None):
         """(density, energy) of the sphere average of g_nu^p under `rule`, at prefix k (default K)."""
-        density = (self.columns(rule.nodes, k) ** p) @ rule.weights
+        density = self.density(rule.nodes, p, rule.weights, k=k)
         return density, node_weight * pairwise_sum(density)
 
     def max_direction_gap(self):
@@ -182,7 +225,7 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     if not np.all(np.isfinite(gmin)):
         raise _non_finite(metric_map)
 
-    return DirectionalField(dirs=dirs, reduced=reduced, gmin=gmin, dense_count=K)
+    return DirectionalField(dirs=dirs, reduced=reduced, gmin=gmin, dense_count=K, workers=cfg.workers)
 
 
 def _non_finite(metric_map):
@@ -559,10 +602,11 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
 
     All forms reuse a single anchor table per node, so the minimal gradient
     dominates every directional value structurally and the sphere/ball
-    comparison differs only by quadrature. Each form reads its columns of
-    the field by direction. `prefixes` is passed to `directional_field`;
-    the energies are at K, and the sphere energy also at 2K when the field
-    holds it. `mask` is the h0-erosion mask, built here when not given.
+    comparison differs only by quadrature. Each form's density is reduced
+    per node chunk (`DirectionalField.density`). `prefixes` is passed to
+    `directional_field`; the energies are at K, and the sphere energy also
+    at 2K when the field holds it. `mask` is the h0-erosion mask, built
+    here when not given.
     """
     if mask is None:
         mask = grid.inner_mask(cfg.h0)
@@ -596,12 +640,11 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
                 abs(out.energy_sphere_doubled - out.energy_sphere) > cfg.truncation_rtol * ref
             )
     if "ball" in forms:
-        c_np = energy_normalization(n, cfg.p)
-        moduli = f.columns(groups["ball"]) * ball_radii[None, :]
-        density_ball = c_np * (moduli**cfg.p) @ ball_rule.weights
+        density_ball = f.density(groups["ball"], cfg.p, ball_rule.weights, radii=ball_radii,
+                                 scale=energy_normalization(n, cfg.p))
         out.energy_ball = grid.node_weight * pairwise_sum(density_ball)
     if "frame" in forms:
-        out.density_frame = np.sum(f.columns(groups["frame"]) ** cfg.p, axis=1)
+        out.density_frame = f.density(groups["frame"], cfg.p)
         out.frame_sum = grid.node_weight * pairwise_sum(out.density_frame)
     return out
 

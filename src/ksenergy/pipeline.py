@@ -287,8 +287,8 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
 
 def run_oracle(which, p, matrix=None):
     """oracle: reference constants as JSON; a non-finite constant is a NonFiniteResultError."""
-    if not math.isfinite(p):
-        raise ConfigError(f"p must be finite, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ConfigError(f"p must be finite and >= 1, got {p}")
     report = {"schema_version": 1, "subcommand": "oracle", "which": which, "p": p}
     if which == "maxnorm":
         frame, sphere = maxnorm_counterexample_constants(p)

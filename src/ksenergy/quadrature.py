@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.stats import qmc
 
 from .errors import ExtrapolationDataError, UnsupportedDimensionError
 
@@ -94,6 +93,9 @@ def sphere_nodes(n, order=None, seed=0):
         )
         weights = np.repeat(v / 2.0, n_az) / n_az
     else:
+        # imported here: scipy.stats is most of the package's import time
+        from scipy.stats import qmc
+
         count = int(order)
         sampler = qmc.Sobol(d=n, scramble=True, seed=seed)
         u = sampler.random(count)

@@ -1,6 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import ksenergy
 from ksenergy import EnergyConfig, build_grid, make_map, make_space
+
+
+def run_python(args, **env):
+    """Run `python *args` with `env` set and this checkout's package and tests importable; returns the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ksenergy.__file__)))
+    paths = [src, os.path.dirname(os.path.abspath(__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from ksenergy import (
     run_convergence,
 )
 import ksenergy.directional
+from conftest import run_python
 from ksenergy import build_grid
 from ksenergy.directional import _initial_directions, _perturb, _reduce_directions, _snap_depth
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
@@ -110,6 +111,45 @@ class TestMinimalGradient:
         assert self.gmin(m, cfg_small, unit_grid_16) == 0.0
 
 
+def _check_chunked_densities():
+    """Sphere at K and 2K, ball and frame densities against the full-table formulas, at workers 1 and 2.
+
+    The 33^2 grid has 841 eroded nodes: chunks of 512 and 329 rows, and a
+    row count that is no multiple of 4 (BLAS rounds tail rows apart).
+    """
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [33, 33])
+    m = make_map("swirl:0.3", make_space("euclidean:2"), 2)
+    for p in (1.5, 3.0):
+        for workers in (1, 2):
+            cfg = EnergyConfig(p=p, dense_count=64, refine_stages=1, sphere_order=128, ball_order=(12, 96),
+                               workers=workers)
+            frag = rep_energies(m, grid, cfg)
+            f = frag.field
+            assert f.gmin.shape == (841,)
+            sphere, ball = cfg.sphere_rule(2), cfg.ball_rule(2)
+            radii = np.linalg.norm(ball.nodes, axis=1)
+            ball_dirs = ball.nodes / radii[:, None]  # no node at the origin in this rule
+            c_np = ksenergy.directional.energy_normalization(2, p)
+            full = {
+                "sphere": (f.columns(sphere.nodes) ** p) @ sphere.weights,
+                "sphere_2k": (f.columns(sphere.nodes, 2 * cfg.dense_count) ** p) @ sphere.weights,
+                "ball": c_np * (f.columns(ball_dirs) * radii[None, :]) ** p @ ball.weights,
+                "frame": np.sum(f.columns(np.eye(2)) ** p, axis=1),
+            }
+            chunked = {
+                "sphere": frag.density_sphere,
+                "sphere_2k": f.density(sphere.nodes, p, sphere.weights, k=2 * cfg.dense_count),
+                "ball": f.density(ball_dirs, p, ball.weights, radii=radii, scale=c_np),
+                "frame": frag.density_frame,
+            }
+            for form, density in full.items():
+                assert np.array_equal(chunked[form], density), (form, p, workers)
+            energies = {"sphere": frag.energy_sphere, "sphere_2k": frag.energy_sphere_doubled,
+                        "ball": frag.energy_ball, "frame": frag.frame_sum}
+            for form, energy in energies.items():
+                assert energy == grid.node_weight * ksenergy.directional.pairwise_sum(full[form]), (form, p, workers)
+
+
 class TestRepEnergies:
     def test_max_norm_sphere_density(self, unit_grid_32):
         cfg = EnergyConfig(sphere_order=256)
@@ -163,6 +203,17 @@ class TestRepEnergies:
         frag_ok = rep_energies(m, unit_grid_16, cfg_ok, forms=("sphere",))
         assert not frag_ok.under_truncation
 
+    def test_chunked_densities_equal_full_expansion(self):
+        """Every form's per-chunk density equals its full-table formula bit for bit (`_check_chunked_densities`).
+
+        Run under one BLAS thread: a threaded matrix-vector product rounds the
+        rows at each thread's split apart, and it splits a full table and a
+        chunk at different rows.
+        """
+        code = "import test_directional as t; t._check_chunked_densities()"
+        proc = run_python(["-c", code], OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        assert proc.returncode == 0, proc.stderr
+
 
 @pytest.fixture(scope="module")
 def fields(unit_grid_16, cfg_small):
@@ -180,7 +231,7 @@ class TestFieldInvariants:
         for f in fields.values():
             assert np.all(f.values >= 0.0)
 
-    def test_domination_by_minimal_gradient(self, fields):
+    def test_gmin_dominates_every_direction(self, fields):
         for name, f in fields.items():
             assert f.max_direction_gap() <= 1e-9, name
 

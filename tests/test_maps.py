@@ -55,7 +55,9 @@ def _gradient(metric_map, anchor, points, delta, grid):
     return stencil.gradient(metric_map.target, np.asarray(anchor, dtype=np.float64)[None])[:, 0]
 
 
-class TestComposedFields:
+class TestAnchorDistanceFields:
+    """The anchor-distance fields x -> d(u(x), xi) that every directional gradient differences."""
+
     def test_identity_distance_to_origin_1d(self):
         g = build_grid([-1.0], [1.0], [8])
         m = make_map("identity", make_space("euclidean:1"), 1)

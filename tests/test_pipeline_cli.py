@@ -3,8 +3,6 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -12,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ksenergy
+from conftest import run_python
 from ksenergy import EnergyConfig, Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
 from ksenergy.cli import main
 from ksenergy.errors import ConfigError, EmptyMaskWarning, KSEnergyWarning, NonFiniteResultError
@@ -27,11 +25,14 @@ def small_problem(map_spec="identity", space_spec="euclidean:2"):
 
 def run_cli(args):
     """Run `python -m ksenergy.cli` on this checkout's package; returns the CompletedProcess."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ksenergy.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "ksenergy.cli", *args], capture_output=True, text=True, env=env, timeout=300
-    )
+    return run_python(["-m", "ksenergy.cli", *args])
+
+
+def test_import_leaves_scipy_stats_out():
+    """Only the n > 3 sphere rule needs scipy.stats (Sobol), and importing it is most of an import's time."""
+    proc = run_python(["-c", "import sys, ksenergy; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestRunners:
@@ -222,6 +223,7 @@ class TestCli:
             pytest.param(["ks-energy", "--p", "inf"], id="p-inf"),
             pytest.param(["ks-energy", "--h0", "nan"], id="h0-nan"),
             pytest.param(["oracle", "--which", "maxnorm", "--p", "nan"], id="oracle-p-nan"),
+            pytest.param(["oracle", "--which", "linear", "--matrix", "1,0;0,2", "--p", "0.5"], id="oracle-p-below-one"),
             pytest.param(["oracle", "--which", "linear", "--matrix", "1;2"], id="oracle-matrix-1d"),
             pytest.param(["oracle", "--which", "linear", "--matrix", "nan,0;0,1"], id="oracle-matrix-nan"),
             pytest.param(["rep-energy", "--delta=-0.01"], id="delta-negative"),
