@@ -51,6 +51,17 @@ class EnergyConfig:
             value = getattr(self, name)
             if value is not None and np.any(np.asarray(value) < 1):
                 raise ConfigError(f"{name} entries must be >= 1, got {value}")
+        # NaN fails every comparison, so each test is written to let only valid values through
+        if not self.anchor_exclusion >= 0:
+            raise ConfigError(f"anchor_exclusion must be >= 0, got {self.anchor_exclusion}")
+        for name in ("refine_radius", "polish_radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.refine_stages < 0:
+            raise ConfigError(f"refine_stages must be >= 0, got {self.refine_stages}")
+        if not self.truncation_rtol >= 0:
+            raise ConfigError(f"truncation_rtol must be >= 0, got {self.truncation_rtol}")
         if self.dense_count < 1:
             raise ConfigError("dense_count must be >= 1")
         if self.workers < 1:

@@ -276,7 +276,7 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         center = space.distance(stencil.u0[:, None, :], xi[None, :, :])
         grads = stencil.gradient(space, xi)
         grads[center < r_excl] = 0.0
-        norms = np.linalg.norm(grads, axis=2)
+        norms = _gradient_norms(grads)
         # a finite norm bounds every projection, and the strict update below
         # would silently drop a NaN
         if not np.all(np.isfinite(norms)):
@@ -304,6 +304,22 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         np.maximum(s, accel, out=s)
         gmin = np.maximum(gmin, s.max(axis=1))
     return snaps, gmin
+
+
+def _gradient_norms(grads):
+    """np.linalg.norm(grads, axis=-1), bit for bit, without a reduction per element.
+
+    Below 8 coordinates numpy sums the squares sequentially, so the square
+    root of the per-coordinate squares summed in coordinate order is the
+    same number; from 8 on it sums pairwise, and the norm stays numpy's.
+    """
+    n = grads.shape[-1]
+    if n >= 8:
+        return np.linalg.norm(grads, axis=-1)
+    sq = grads[..., 0] * grads[..., 0]
+    for i in range(1, n):
+        sq += grads[..., i] * grads[..., i]
+    return np.sqrt(sq, out=sq)
 
 
 def _bucket_keys(bits):

@@ -163,11 +163,15 @@ def make_map(spec, space, domain_dim):
         if not isinstance(space, CircleSpace):
             raise ConfigError("winding maps into the circle target only")
         k = _spec_floats(spec, arg, 1)[0] if arg is not None else 2.0
-        return MetricMap(
-            space,
-            lambda x, k=k: (k * x[..., :1]) % TAU,
-            f"winding:{arg if arg is not None else '2'}",
-        )
+
+        def winding_eval(x, k=k):
+            angle = k * x[..., :1]
+            # (k x) mod 2pi; only negatives, -0.0, NaN and values >= 2pi need
+            # the remainder, which returns every other value unchanged
+            np.remainder(angle, TAU, out=angle, where=~(angle < TAU) | np.signbit(angle))
+            return angle
+
+        return MetricMap(space, winding_eval, f"winding:{arg if arg is not None else '2'}")
 
     if name == "qsplit":
         if not (isinstance(space, QPointsSpace) and space.Q == 2 and space.m == 1):

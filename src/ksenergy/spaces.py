@@ -24,8 +24,15 @@ sequentially; the max of absolute differences; and, per pairing, the
 sequential sum of the Q*m squared gaps. The same rule covers the shifted
 ball points ``x + h v`` of the KS route (``ks.approx_density_field``),
 filled coordinate by coordinate from the same operands.
+
+Angles are reduced mod 2pi only where they lie outside [0, 2pi): the circle
+kernel takes the remainder of |a - b| only where it is >= 2pi. The remainder
+of a value inside that range is the value itself, so the result is the same,
+without a remainder (about 17 ns an element) on every angle. The kernels
+write into their own temporaries, never into their operands.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -66,6 +73,24 @@ def _dyadic_lattice_prefix(m, count):
                 break
         cost += 1
     return np.concatenate(blocks, axis=0)[:count]
+
+
+def _single_points_as_rows(kernel):
+    """Float64 operands for a distance kernel that writes into its temporaries.
+
+    Numpy returns scalars, which take no out=, for 0-d results: two single
+    points run as one-row operands, and their distance comes back as a scalar.
+    """
+
+    @functools.wraps(kernel)
+    def distance(self, a, b):
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if a.ndim == b.ndim == 1:
+            return kernel(self, a[None], b[None])[0]
+        return kernel(self, a, b)
+
+    return distance
 
 
 class MetricSpace:
@@ -167,11 +192,12 @@ class CircleSpace(MetricSpace):
     def __init__(self):
         self._prefix = np.empty((0, 1))
 
+    @_single_points_as_rows
     def distance(self, a, b):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        d = np.abs(a - b)[..., 0] % TAU
-        return np.minimum(d, TAU - d)
+        d = np.abs(a - b)[..., 0]
+        np.remainder(d, TAU, out=d, where=d >= TAU)
+        r = TAU - d
+        return np.minimum(d, r, out=r)
 
     def dense_points(self, count):
         if len(self._prefix) < count:
@@ -213,26 +239,27 @@ class QPointsSpace(MetricSpace):
         self._prefix = np.empty((0, self.rep_dim))
         self._perms = list(itertools.permutations(range(self.Q)))
 
+    @_single_points_as_rows
     def distance(self, a, b):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
         Q, m = self.Q, self.m
         # squared coordinate gaps between block i of a and block j of b,
         # each computed once and shared by every pairing
         sq = {}
         for i, j, c in itertools.product(range(Q), range(Q), range(m)):
             d = a[..., i * m + c] - b[..., j * m + c]
-            sq[i, j, c] = d * d
+            d *= d
+            sq[i, j, c] = d
         best = None
         for perm in self._perms:
             # accumulate in (block, coordinate) order, the order of a
-            # sequential sum over the flattened Q*m terms
+            # sequential sum over the flattened Q*m terms; the first add
+            # makes a fresh array, so the shared squares stay intact
             terms = [sq[i, j, c] for i, j in enumerate(perm) for c in range(m)]
-            cost = terms[0]
-            for term in terms[1:]:
-                cost = cost + term
-            best = cost if best is None else np.minimum(best, cost)
-        return np.sqrt(best)
+            cost = terms[0] + terms[1] if len(terms) > 1 else terms[0]
+            for term in terms[2:]:
+                cost += term
+            best = cost if best is None else np.minimum(best, cost, out=best)
+        return np.sqrt(best, out=best)
 
     def _index_tuples(self):
         total = 0

@@ -19,7 +19,7 @@ from ksenergy import (
 import ksenergy.directional
 from conftest import run_python
 from ksenergy import build_grid
-from ksenergy.directional import _initial_directions, _perturb, _reduce_directions, _snap_depth
+from ksenergy.directional import _gradient_norms, _initial_directions, _perturb, _reduce_directions, _snap_depth
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap, eval_stencil
 from ksenergy.quadrature import sphere_nodes
@@ -577,6 +577,16 @@ class TestDistinctScan:
         f, compressed = self._assert_plain(monkeypatch, m, pts, np.array([[1.0, 0.0], [0.6, 0.8]]), cfg)
         assert compressed
         assert f.gmin[0] == f.gmin[2] == 0.0 and f.gmin[1] > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_gradient_norms_equal_linalg_norm(n):
+    """`_gradient_norms` is np.linalg.norm(axis=-1) bit for bit, on magnitudes 1e-6..1e6 and exact zeros."""
+    rng = np.random.default_rng(n)
+    grads = rng.normal(size=(64, 40, n)) * 10.0 ** rng.uniform(-6, 6, size=(64, 40, n))
+    grads[rng.random(grads.shape) < 0.2] = 0.0
+    grads[:, :3] = 0.0  # whole vectors zero, as for excluded anchors
+    assert np.array_equal(_gradient_norms(grads), np.linalg.norm(grads, axis=-1))
 
 
 def _dict_reduce_directions(dirs):

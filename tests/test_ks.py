@@ -146,3 +146,35 @@ def test_config_validation():
         EnergyConfig(dense_count=0)
     with pytest.raises(ConfigError):
         EnergyConfig().resolved_fd_step(None)
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        pytest.param({"anchor_exclusion": math.nan}, id="anchor-exclusion-nan"),
+        pytest.param({"anchor_exclusion": -1.0}, id="anchor-exclusion-negative"),
+        pytest.param({"refine_radius": math.nan}, id="refine-radius-nan"),
+        pytest.param({"refine_radius": math.inf}, id="refine-radius-inf"),
+        pytest.param({"refine_radius": 0.0}, id="refine-radius-zero"),
+        pytest.param({"polish_radius": math.nan}, id="polish-radius-nan"),
+        pytest.param({"polish_radius": math.inf}, id="polish-radius-inf"),
+        pytest.param({"polish_radius": -32.0}, id="polish-radius-negative"),
+        pytest.param({"refine_stages": -1}, id="refine-stages-negative"),
+        pytest.param({"truncation_rtol": math.nan}, id="truncation-rtol-nan"),
+        pytest.param({"truncation_rtol": -1.0}, id="truncation-rtol-negative"),
+    ],
+)
+def test_refinement_and_probe_knobs_are_validated(knob):
+    """A NaN or out-of-range knob is a ConfigError when the config is built, before any numerics.
+
+    Unchecked, NaN anchor_exclusion turned the exclusion off, NaN
+    truncation_rtol the 2K probe, a negative truncation_rtol raised a false
+    under_truncation warning, and NaN refine_radius ended in a runtime
+    NonFiniteResultError.
+    """
+    with pytest.raises(ConfigError):
+        EnergyConfig(**knob)
+
+
+def test_boundary_knob_values_are_accepted():
+    EnergyConfig(anchor_exclusion=0.0, refine_stages=0, truncation_rtol=0.0)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ksenergy import build_grid, make_map, make_space
 from ksenergy.errors import ConfigError, MapEvaluationError, StencilRangeError
 from ksenergy.maps import MetricMap, eval_stencil
+from ksenergy.spaces import TAU
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,29 @@ class TestEval:
     def test_winding_substitution(self):
         m = make_map("winding:2", make_space("circle"), 2)
         assert m.eval(np.array([math.pi / 2, 0.0]))[0] == pytest.approx(math.pi, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [2.0, -2.0, 0.5])
+    def test_winding_equals_plain_remainder(self, k):
+        """Bit for bit (sign of zero included) the plain `(k * x) % 2pi` on every branch of the fast path.
+
+        k x is negative, -0.0, +0.0, inside (0, 2pi), next to 2pi, exactly 2pi,
+        above 2pi up to 10^6, infinite or NaN.
+        """
+        m = make_map(f"winding:{k!r}", make_space("circle"), 2)
+        angles = [-1e6, -TAU, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, np.nextafter(TAU, 0.0), TAU,
+                  np.nextafter(TAU, 7.0), 2.0 * TAU, 1e6, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(0)
+        first = np.concatenate([np.array(angles) / k, rng.uniform(-1e3, 1e3, 200)])
+        # k is a power of two, so k * (angle / k) is the angle itself
+        assert np.array_equal(k * first[: len(angles)], angles, equal_nan=True)
+        assert np.array_equal(np.signbit(k * first[4:6]), [True, False])
+        x = np.stack([first, rng.normal(size=first.size)], axis=-1)
+        with np.errstate(invalid="ignore"):
+            got = m.eval(x)
+            want = (k * x[..., :1]) % TAU
+        assert np.array_equal(got, want, equal_nan=True)
+        finite = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
 
     def test_vectorized_shapes(self):
         m = make_map("qsplit", make_space("q:2:1"), 2)

@@ -77,6 +77,9 @@ def _matching_reference(Q, m, a, b):
 
 def _reference_distance(spec, a, b):
     """The trailing-axis reductions that the distance kernels must reproduce."""
+    if spec == "circle":
+        r = np.abs(a - b)[..., 0] % TAU
+        return np.minimum(r, TAU - r)
     if spec.startswith("euclidean"):
         return np.linalg.norm(a - b, axis=-1)
     if spec == "max_norm_plane":
@@ -97,8 +100,40 @@ def _call_operands(shape_kind, rep_dim, seed):
     return a, b
 
 
+# |a - b| below, at, and above 2pi, signed zeros and non-finite values
+CIRCLE_SPECIALS = [0.0, -0.0, 1e-300, 1.0, np.nextafter(TAU, 0.0), TAU, np.nextafter(TAU, 7.0), -TAU,
+                   2.0 * TAU, 3.0 * TAU, 1e6, -1e6, math.inf, -math.inf, math.nan]
+
+
+def _circle_operands(shape_kind, seed):
+    """`_call_operands` with every pair of CIRCLE_SPECIALS in the leading entries."""
+    a, b = _call_operands(shape_kind, 1, seed)
+    s = np.array(CIRCLE_SPECIALS)
+    if shape_kind == "broadcast":
+        a[: s.size, 0, 0] = s
+        b[0, : s.size, 0] = s
+    else:
+        pairs = np.array(list(itertools.product(s, s)))
+        a[: len(pairs), 0] = pairs[:, 0]
+        b[: len(pairs), 0] = pairs[:, 1]
+    return a, b
+
+
 class TestKernelExactness:
     """The coordinate-slice kernels against the plain reductions they replaced."""
+
+    @pytest.mark.parametrize("shape_kind", ["broadcast", "rows"])
+    def test_circle(self, shape_kind):
+        """The circle kernel reduces mod 2pi only where |a - b| >= 2pi: same values, NaN where the plain one has NaN."""
+        space = make_space("circle")
+        for seed in range(3):
+            a, b = _circle_operands(shape_kind, seed)
+            with np.errstate(invalid="ignore"):
+                got = space.distance(a, b)
+                want = _reference_distance("circle", a, b)
+                d = np.abs(a - b)[..., 0]
+            assert np.array_equal(got, want, equal_nan=True)
+            assert all(np.any(c) for c in (d == 0.0, d == TAU, (d > TAU) & (d < np.inf), d == np.inf, np.isnan(d)))
 
     @pytest.mark.parametrize("shape_kind", ["broadcast", "rows"])
     @pytest.mark.parametrize("spec", ["euclidean:1", "euclidean:2", "euclidean:3", "max_norm_plane", "q:2:1"])
@@ -131,6 +166,25 @@ class TestKernelExactness:
         space = make_space(spec)
         a, b = _call_operands(shape_kind, space.rep_dim, 0)
         np.testing.assert_allclose(space.distance(a, b), _reference_distance(spec, a, b), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spec", ["euclidean:1", "euclidean:3", "max_norm_plane", "circle",
+                                  "q:1:1", "q:2:1", "q:2:2", "q:3:1"])
+def test_distance_leaves_operands_unchanged(spec):
+    """No kernel writes into its operands, on either layout or on single points.
+
+    Two single points give a 0-d result equal to the one-row result.
+    """
+    space = make_space(spec)
+    for shape_kind in ("broadcast", "rows"):
+        a, b = _call_operands(shape_kind, space.rep_dim, 0)
+        a0, b0 = a.copy(), b.copy()
+        space.distance(a, b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    a, b = a[0], b[0]
+    got = space.distance(a, b)
+    assert np.ndim(got) == 0 and got == space.distance(a[None], b[None])[0]
+    assert np.array_equal(a, a0[0]) and np.array_equal(b, b0[0])
 
 
 class TestDenseEnumeration:
