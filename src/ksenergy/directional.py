@@ -8,7 +8,7 @@ c_{n,p} times the ball integral via |d_v u| = |v| |d_{v/|v|} u|.
 The sup over D is realized in two layers, both deterministic:
 
 * a prefix scan over the first K enumerated dense points (anchors within
-  `anchor_exclusion * fd_step` of u(x) in the target metric are skipped:
+  `ANCHOR_EXCLUSION * fd_step` of u(x) in the target metric are skipped:
   central differences degrade as the composed field's curvature ~ 1/distance
   blows up, and in all built-in targets remote anchors realize the sup).
   The scan keeps one running max over the enumeration, in anchor batches
@@ -23,8 +23,8 @@ The sup over D is realized in two layers, both deterministic:
 * a per-(node, direction) refinement that walks the direction of the anchor
   ray in the target representation space, snapping every trial anchor to a
   dyadic lattice point so the search never leaves the dense set. Refinement
-  anchors sit at moderate radius, with a final far-radius polish where the
-  stencil error is negligible. Every trial of a sweep perturbs the
+  anchors sit at `REFINE_RADIUS`, with a final polish at `POLISH_RADIUS`
+  where the stencil error is negligible. Every trial of a sweep perturbs the
   sweep-start ray, so the rows of a node that share a ray share every trial
   anchor: target distances are evaluated once per such group, and groups
   split only at the end of a sweep, by the trial each row took last. The
@@ -54,10 +54,13 @@ from typing import Optional
 
 import numpy as np
 
+from .config import ANCHOR_EXCLUSION, POLISH_RADIUS, REFINE_RADIUS, TRUNCATION_RTOL
 from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
 from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization
+
+INCREMENT_TOLERANCE = 1e-3  # IncrementCheck.holds allows the lhs this relative excess
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +180,15 @@ class DirectionalField:
         return float(np.max(self.values - self.gmin[:, None]))
 
 
-def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
+def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
     """Compute g_nu for every point/direction pair, plus the minimal gradient.
 
-    dirs must be unit vectors (1e-12). `prefixes` are the anchor-prefix
-    lengths to report; it must contain K = cfg.dense_count and defaults to
-    (K, 2K) when cfg.check_truncation is set (the under-truncation probe)
-    and to (K,) otherwise. Every reported length gets the same refinement.
+    dirs must be unit vectors (1e-12); `grid` bounds the stencil and sets
+    the default fd step (`EnergyConfig.resolved_fd_step`). `prefixes` are
+    the anchor-prefix lengths to report; it must contain K = cfg.dense_count
+    and defaults to (K, 2K) when cfg.check_truncation is set (the
+    under-truncation probe) and to (K,) otherwise. Every reported length
+    gets the same refinement.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -191,7 +196,7 @@ def directional_field(metric_map, points, dirs, cfg, grid=None, prefixes=None):
     if dirs.shape[1] != n:
         raise InvalidDirectionError(f"directions of dim {dirs.shape[1]} on a {n}-d domain")
     norms = np.linalg.norm(dirs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):
         raise InvalidDirectionError("directions must be unit vectors (tolerance 1e-12)")
     K = cfg.dense_count
     if prefixes is None:
@@ -242,8 +247,8 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     multiple of 128 and at every length in `prefixes`, so each prefix is a
     copy of M between batches and no batch straddles K = cfg.dense_count.
     Below K the update is strict, so `arg` keeps the first anchor that
-    realizes the max (the refinement's seed). `grid` (or None) bounds the
-    stencil, as in `maps.eval_stencil`.
+    realizes the max (the refinement's seed). `grid` bounds the stencil, as
+    in `maps.eval_stencil`.
 
     Distinct-gradient rule: a repeated gradient cannot raise M or move arg.
     Each batch is scanned over its slots (`_distinct_slots`): per node, the
@@ -257,7 +262,7 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     R = reps.shape[0]
     K = cfg.dense_count
     stencil = eval_stencil(metric_map, pts, delta, grid)
-    r_excl = cfg.anchor_exclusion * delta
+    r_excl = ANCHOR_EXCLUSION * delta
 
     M = np.zeros((N, R))
     arg = np.zeros((N, R), dtype=np.int64)
@@ -442,25 +447,25 @@ def _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta,
 
     def climb(seeds, per_node, objective):
         groups = _RayGroups(space, depth, stencil, anchors, seeds, per_node)
-        best = groups.evaluate(groups.w, cfg.refine_radius, objective)
+        best = groups.evaluate(groups.w, REFINE_RADIUS, objective)
         if m == 1:
             trials = (np.full((groups.size, 1), sign) for sign in (1.0, -1.0))
-            sweep(groups, trials, cfg.refine_radius, best, objective)
+            sweep(groups, trials, REFINE_RADIUS, best, objective)
         else:
             window = 0.8
             for _ in range(cfg.refine_stages):
                 # several sweeps per scale: one sweep cannot cover multi-step
                 # tangent walks when the start is far off (m >= 3 especially)
                 for _ in range(3):
-                    if not sweep(groups, _perturb(groups.w, window, m), cfg.refine_radius, best, objective):
+                    if not sweep(groups, _perturb(groups.w, window, m), REFINE_RADIUS, best, objective):
                         break
                 window /= 3.0
         # far-radius polish: stencil error dies off like 1/radius^2, and two
         # fine rotations absorb the near-radius snap quantization
-        far = groups.evaluate(groups.w, cfg.polish_radius, objective)
+        far = groups.evaluate(groups.w, POLISH_RADIUS, objective)
         if m >= 2:
             for window in (4e-4, 1.3e-4):
-                sweep(groups, _perturb(groups.w, window, m), cfg.polish_radius, far, objective)
+                sweep(groups, _perturb(groups.w, window, m), POLISH_RADIUS, far, objective)
         return np.maximum(best, far)
 
     g_accel = climb(arg.ravel(), R, project_objective).reshape(N, R)
@@ -574,16 +579,16 @@ def _perturb(w, window, m):
 # ---------------------------------------------------------------------------
 
 
-def directional_derivative(metric_map, x, nu, cfg, grid=None):
+def directional_derivative(metric_map, x, nu, cfg, grid):
     """g_nu(x): sup over dense anchors of |nu . grad d(u(x), anchor)|."""
     nu = np.asarray(nu, dtype=np.float64)
-    if abs(np.linalg.norm(nu) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(nu) - 1.0) <= 1e-12:
         raise InvalidDirectionError(f"|nu| must be 1 within 1e-12, got {np.linalg.norm(nu)!r}")
     f = directional_field(metric_map, np.asarray(x, dtype=np.float64)[None, :], nu[None, :], cfg, grid)
     return float(f.values[0, 0])
 
 
-def directional_vector(metric_map, x, v, cfg, grid=None):
+def directional_vector(metric_map, x, v, cfg, grid):
     """|d_v u|(x) = |v| * g_{v/|v|}(x); exact positive homogeneity."""
     v = np.asarray(v, dtype=np.float64)
     vnorm = float(np.linalg.norm(v))
@@ -652,9 +657,7 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
         if doubled in f.reduced:
             _, out.energy_sphere_doubled = f.sphere_energy(sphere_rule, cfg.p, grid.node_weight, doubled)
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
-            out.under_truncation = (
-                abs(out.energy_sphere_doubled - out.energy_sphere) > cfg.truncation_rtol * ref
-            )
+            out.under_truncation = abs(out.energy_sphere_doubled - out.energy_sphere) > TRUNCATION_RTOL * ref
     if "ball" in forms:
         density_ball = f.density(groups["ball"], cfg.p, ball_rule.weights, radii=ball_radii,
                                  scale=energy_normalization(n, cfg.p))
@@ -676,29 +679,28 @@ class IncrementCheck:
     h: float
     lhs: float
     rhs: float
-    tolerance: float
 
     @property
     def holds(self):
-        return self.lhs <= self.rhs * (1.0 + self.tolerance) + 1e-300
+        return self.lhs <= self.rhs * (1.0 + INCREMENT_TOLERANCE) + 1e-300
 
     @property
     def ratio(self):
         return self.lhs / self.rhs if self.rhs > 0 else (0.0 if self.lhs == 0 else math.inf)
 
 
-def check_increment_bound(metric_map, grid, v, h, cfg, tolerance=1e-3, _field_cache=None):
+def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
     """Compare shifted-increment mass against the directional bound.
 
     lhs = integral over the h-erosion of d^p(u(x + h v), u(x));
     rhs = h^p * integral over the box of |d_v u|^p. The lhs never exceeds the
-    rhs (up to quadrature tolerance).
+    rhs (up to INCREMENT_TOLERANCE).
     """
     v = np.asarray(v, dtype=np.float64)
-    if np.linalg.norm(v) > 1.0 + 1e-12:
+    if not np.linalg.norm(v) <= 1.0 + 1e-12:
         raise InvalidDirectionError(f"increment direction must satisfy |v| <= 1, got {v!r}")
-    if h <= 0:
-        raise ConfigError("h must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"h must be positive and finite, got {h!r}")
     mask = grid.inner_mask(h)
     pts = grid.nodes[mask]
     base = metric_map.eval(pts)
@@ -719,4 +721,4 @@ def check_increment_bound(metric_map, grid, v, h, cfg, tolerance=1e-3, _field_ca
             if _field_cache is not None:
                 _field_cache[key] = gfield
         rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(gfield**cfg.p)
-    return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs), tolerance=tolerance)
+    return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs))

@@ -43,7 +43,7 @@ class DomainGrid:
         Warns (EmptyMaskWarning) and returns the all-false mask when the
         erosion swallows the whole box.
         """
-        if h <= 0:
+        if not h > 0:
             raise InvalidDomainError(f"erosion depth must be positive, got {h}")
         mask = self.boundary_distance() > h
         if not mask.any():

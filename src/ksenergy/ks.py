@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExtrapolationWarning, NonFiniteResultError
+from .errors import ConfigError, ExtrapolationWarning, NonFiniteResultError
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization, extrapolate_fields
 
@@ -88,13 +88,19 @@ def ks_energy(metric_map, grid, cfg, mask=None):
     (max density observed inside the mask). It is not a bound: the density
     outside the mask may exceed every value seen inside, and with an empty
     mask nothing is observed, so the deficit is None. `mask` is the
-    h0-erosion mask, built here when not given.
+    h0-erosion mask, built here when not given. A ladder whose smallest h
+    has h**p == 0 or a non-finite 1/h**p is a ConfigError, raised first.
     """
+    h_values = cfg.h_ladder()
+    with np.errstate(all="ignore"):
+        scale = np.float64(h_values[-1]) ** cfg.p
+        usable = scale > 0 and np.isfinite(1.0 / scale)
+    if not usable:
+        raise ConfigError(f"h**p underflows at the smallest h={h_values[-1]!r} (p={cfg.p}, h_count={cfg.h_count})")
     if mask is None:
         mask = grid.inner_mask(cfg.h0)
     idx = np.flatnonzero(mask)
     points = grid.nodes[idx]
-    h_values = cfg.resolved_h_sequence()
 
     fields = np.zeros((len(h_values), len(idx)))
     for row, h in enumerate(h_values):
@@ -149,10 +155,11 @@ def density_limit(metric_map, grid, cfg):
     return ks.mask_indices, ks.ks_density
 
 
-def _oscillates(seq, rtol=1e-9):
+def _oscillates(seq):
     if len(seq) < 3:
         return False
     scale = max(abs(float(seq.max())), abs(float(seq.min())), 1e-300)
     diffs = np.diff(seq) / scale
-    sign_changes = np.sum(np.abs(np.diff(np.sign(np.where(np.abs(diffs) < rtol, 0.0, diffs)))) > 1)
+    # relative steps below 1e-9 count as flat
+    sign_changes = np.sum(np.abs(np.diff(np.sign(np.where(np.abs(diffs) < 1e-9, 0.0, diffs)))) > 1)
     return bool(sign_changes >= 1 and np.any(np.abs(diffs) > 1e-6))

@@ -64,22 +64,18 @@ class Stencil:
         return grads
 
 
-def eval_stencil(metric_map, points, delta, grid=None):
+def eval_stencil(metric_map, points, delta, grid):
     """Evaluate the map at `points` and at the central-difference stencil around them.
 
     Raises StencilRangeError for a non-positive step, or when the stencil
-    leaves the evaluable region: the grid's box grown by the map's margin
-    (not checked without a grid).
+    leaves the evaluable region: the grid's box grown by the map's margin.
     """
     if not delta > 0:
         raise StencilRangeError(f"fd step must be positive, got {delta}")
-    if grid is not None:
-        lo = grid.lower - metric_map.margin
-        hi = grid.upper + metric_map.margin
-        if np.any(points - delta < lo) or np.any(points + delta > hi):
-            raise StencilRangeError(
-                f"fd stencil of width {delta} leaves the evaluable region for some points"
-            )
+    lo = grid.lower - metric_map.margin
+    hi = grid.upper + metric_map.margin
+    if not (np.all(points - delta >= lo) and np.all(points + delta <= hi)):
+        raise StencilRangeError(f"fd stencil of width {delta} leaves the evaluable region for some points")
     n = points.shape[1]
     u0 = metric_map.eval(points)
     plus, minus = [], []

@@ -321,12 +321,14 @@ def make_space(spec):
     raise ConfigError(f"unknown space spec {spec!r}")
 
 
+AXIOM_TOLERANCE = 1e-12  # absolute slack of each axiom check
+
+
 @dataclass
 class AxiomReport:
     space: str
     samples: int
     seed: int
-    tolerance: float
     violations: dict = field(default_factory=dict)
 
     @property
@@ -334,10 +336,10 @@ class AxiomReport:
         return sum(self.violations.values())
 
 
-def verify_metric_axioms(space, samples, seed, tolerance=1e-12):
+def verify_metric_axioms(space, samples, seed):
     """Check the metric axioms on random triples from the bounded sampler.
 
-    Counts violations beyond `tolerance` of: nonnegativity, d(a,a)=0,
+    Counts violations beyond AXIOM_TOLERANCE of: nonnegativity, d(a,a)=0,
     positivity for visibly distinct points, symmetry, and the triangle
     inequality. Exact metrics should report zero everywhere.
     """
@@ -354,12 +356,12 @@ def verify_metric_axioms(space, samples, seed, tolerance=1e-12):
     d_aa = space.distance(a, a)
 
     distinct = np.max(np.abs(space.canonical(a) - space.canonical(b)), axis=-1) > 1e-6
-    report = AxiomReport(space=space.spec, samples=samples, seed=seed, tolerance=tolerance)
+    report = AxiomReport(space=space.spec, samples=samples, seed=seed)
     report.violations = {
-        "nonnegativity": int(np.sum(d_ab < -tolerance)),
-        "identity": int(np.sum(d_aa > tolerance)),
-        "positivity": int(np.sum(distinct & (d_ab <= tolerance))),
-        "symmetry": int(np.sum(np.abs(d_ab - d_ba) > tolerance)),
-        "triangle": int(np.sum(d_ac - d_ab - d_bc > tolerance)),
+        "nonnegativity": int(np.sum(d_ab < -AXIOM_TOLERANCE)),
+        "identity": int(np.sum(d_aa > AXIOM_TOLERANCE)),
+        "positivity": int(np.sum(distinct & (d_ab <= AXIOM_TOLERANCE))),
+        "symmetry": int(np.sum(np.abs(d_ab - d_ba) > AXIOM_TOLERANCE)),
+        "triangle": int(np.sum(d_ac - d_ab - d_bc > AXIOM_TOLERANCE)),
     }
     return report

@@ -19,6 +19,7 @@ from ksenergy import (
 import ksenergy.directional
 from conftest import run_python
 from ksenergy import build_grid
+from ksenergy.config import ANCHOR_EXCLUSION, POLISH_RADIUS, REFINE_RADIUS
 from ksenergy.directional import _gradient_norms, _initial_directions, _perturb, _reduce_directions, _snap_depth
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap, eval_stencil
@@ -53,12 +54,24 @@ class TestDirectionalDerivative:
         with pytest.raises(InvalidDirectionError):
             directional_derivative(m, X0, np.array([1.0, 1.0]), cfg_small, unit_grid_16)
 
+    def test_rejects_nan_direction(self, unit_grid_16, cfg_small):
+        m = make_map("identity", make_space("euclidean:2"), 2)
+        with pytest.raises(InvalidDirectionError):
+            directional_derivative(m, X0, np.array([math.nan, 1.0]), cfg_small, unit_grid_16)
+
+    def test_field_rejects_nan_direction(self, unit_grid_16, cfg_small):
+        m = make_map("identity", make_space("euclidean:2"), 2)
+        with pytest.raises(InvalidDirectionError):
+            directional_field(m, X0[None], np.array([[1.0, 0.0], [math.nan, 1.0]]), cfg_small, unit_grid_16)
+
     def test_stencil_bound_respected(self, unit_grid_16):
         space = make_space("euclidean:2")
         bounded = MetricMap(space, lambda x: np.array(x, copy=True), "bounded", margin=0.0)
         cfg = EnergyConfig(fd_step=0.25)
         with pytest.raises(StencilRangeError):
             directional_derivative(bounded, np.array([0.1, 0.5]), np.array([1.0, 0.0]), cfg, unit_grid_16)
+        with pytest.raises(StencilRangeError):
+            directional_derivative(bounded, np.array([math.nan, 0.5]), np.array([1.0, 0.0]), cfg, unit_grid_16)
 
 
 class TestHomogeneity:
@@ -370,10 +383,10 @@ def _per_row_refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg
         return np.where(take[:, None], cand, w), bool(np.any(take))
 
     def climb(u_rows, w, objective):
-        best = objective(space.snap(u_rows - cfg.refine_radius * w, depth))
+        best = objective(space.snap(u_rows - REFINE_RADIUS * w, depth))
         if m == 1:
             for sign in (1.0, -1.0):
-                w, _ = improve(best, w, np.full((u_rows.shape[0], 1), sign), cfg.refine_radius, u_rows, objective)
+                w, _ = improve(best, w, np.full((u_rows.shape[0], 1), sign), REFINE_RADIUS, u_rows, objective)
         else:
             window = 0.8
             for _ in range(cfg.refine_stages):
@@ -381,16 +394,16 @@ def _per_row_refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg
                     moved = False
                     # every trial of a sweep perturbs the sweep-start w
                     for cand in list(_perturb(w, window, m)):
-                        w, took = improve(best, w, cand, cfg.refine_radius, u_rows, objective)
+                        w, took = improve(best, w, cand, REFINE_RADIUS, u_rows, objective)
                         moved |= took
                     if not moved:
                         break
                 window /= 3.0
-        far = objective(space.snap(u_rows - cfg.polish_radius * w, depth))
+        far = objective(space.snap(u_rows - POLISH_RADIUS * w, depth))
         if m >= 2:
             for window in (4e-4, 1.3e-4):
                 for cand in list(_perturb(w, window, m)):
-                    w, _ = improve(far, w, cand, cfg.polish_radius, u_rows, objective)
+                    w, _ = improve(far, w, cand, POLISH_RADIUS, u_rows, objective)
         return np.maximum(best, far)
 
     g = climb(
@@ -462,7 +475,7 @@ def _plain_field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, gri
         grad = np.empty((N, n))
         for i in range(n):
             grad[:, i] = (space.distance(stencil.plus[i], xi) - space.distance(stencil.minus[i], xi)) / (2.0 * delta)
-        grad[space.distance(stencil.u0, xi) < cfg.anchor_exclusion * delta] = 0.0
+        grad[space.distance(stencil.u0, xi) < ANCHOR_EXCLUSION * delta] = 0.0
         # same (N, n) @ (n, R) product as the scan, row for row
         proj = np.abs(grad @ reps.T)
         norm = np.linalg.norm(grad, axis=1)
@@ -520,7 +533,7 @@ class TestDistinctScan:
             field = directional_field(m, pts, dirs, cfg, grid, prefixes=TestDistinctScan.PREFIXES)
         return field, seeds, any(compressed)
 
-    def _assert_plain(self, monkeypatch, m, pts, dirs, cfg, grid=None):
+    def _assert_plain(self, monkeypatch, m, pts, dirs, cfg, grid):
         """Assert the scan equals the reference; return whether it compressed a batch."""
         got, got_seeds, compressed = self._scan(monkeypatch, m, pts, dirs, cfg, grid)
         want, want_seeds, _ = self._scan(monkeypatch, m, pts, dirs, cfg, grid, plain=True)
@@ -570,11 +583,13 @@ class TestDistinctScan:
             assert self._assert_plain(monkeypatch, m, pts, dirs, self.CFG, grid)[1]
 
     def test_node_with_every_anchor_excluded(self, monkeypatch):
-        # every anchor lies within 20 of u = 0, none within 20 of u = (100, 100)
+        # every anchor lies within 20 of u = 0, none within 20 of u = (100, 100);
+        # the exclusion radius is ANCHOR_EXCLUSION fd steps, 64 * 20/64 = 20
         m = make_map("identity", make_space("max_norm_plane"), 2)
         pts = np.array([[0.0, 0.0], [100.0, 100.0], [0.25, -0.5]])
-        cfg = replace(self.CFG, fd_step=1e-3, anchor_exclusion=2e4)
-        f, compressed = self._assert_plain(monkeypatch, m, pts, np.array([[1.0, 0.0], [0.6, 0.8]]), cfg)
+        grid = build_grid([-1.0, -1.0], [101.0, 101.0], [2, 2])
+        cfg = replace(self.CFG, fd_step=20 / 64)
+        f, compressed = self._assert_plain(monkeypatch, m, pts, np.array([[1.0, 0.0], [0.6, 0.8]]), cfg, grid)
         assert compressed
         assert f.gmin[0] == f.gmin[2] == 0.0 and f.gmin[1] > 0.0
 
@@ -711,6 +726,16 @@ class TestIncrementBound:
         m = make_map("identity", make_space("euclidean:2"), 2)
         with pytest.raises(InvalidDirectionError):
             check_increment_bound(m, unit_grid_16, np.array([1.0, 1.0]), 0.05, cfg_small)
+
+    def test_nan_vector_rejected(self, unit_grid_16, cfg_small):
+        m = make_map("identity", make_space("euclidean:2"), 2)
+        with pytest.raises(InvalidDirectionError):
+            check_increment_bound(m, unit_grid_16, np.array([math.nan, 0.0]), 0.05, cfg_small)
+
+    def test_nan_h_rejected(self, unit_grid_16, cfg_small):
+        m = make_map("identity", make_space("euclidean:2"), 2)
+        with pytest.raises(ConfigError):
+            check_increment_bound(m, unit_grid_16, np.array([1.0, 0.0]), math.nan, cfg_small)
 
 
 def test_frame_sum_energy(unit_grid_16, cfg_small):

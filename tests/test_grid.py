@@ -55,6 +55,12 @@ def test_inner_measure_closed_form():
     assert g.inner_measure(0.6) == 0.0
 
 
+def test_nan_erosion_depth_rejected():
+    g = build_grid([0, 0], [1, 1], [4, 4])
+    with pytest.raises(InvalidDomainError):
+        g.inner_mask(float("nan"))
+
+
 def test_degenerate_box_rejected():
     with pytest.raises(InvalidDomainError):
         build_grid([0, 0], [1, 0], [8, 8])

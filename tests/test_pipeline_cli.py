@@ -129,6 +129,16 @@ class TestRunners:
 
 
 class TestConfigEcho:
+    def test_default_echo_is_pinned(self):
+        """The fixed ladder and search constants are still echoed, with the values reports always carried."""
+        assert EnergyConfig().to_dict() == {
+            "p": 2.0, "h0": 0.05, "h_count": 6,
+            "h_sequence": [0.025, 0.0125, 0.00625, 0.003125, 0.0015625, 0.00078125],
+            "sphere_order": None, "ball_order": None, "dense_count": 512, "fd_step": None,
+            "anchor_exclusion": 64.0, "refine_radius": 4.0, "polish_radius": 32.0, "refine_stages": 8,
+            "check_truncation": True, "truncation_rtol": 0.001, "seed": 0,
+        }
+
     def test_round_trip_reproduces_numbers(self):
         cfg = EnergyConfig(**FAST_CFG)
         report, _, _ = run_compare(small_problem("qsplit", "q:2:1"), cfg)
@@ -136,17 +146,13 @@ class TestConfigEcho:
         cfg2 = EnergyConfig(
             p=echo["p"],
             h0=echo["h0"],
-            h_sequence=tuple(echo["h_sequence"]),
+            h_count=echo["h_count"],
             sphere_order=echo["sphere_order"],
             ball_order=tuple(echo["ball_order"]),
             dense_count=echo["dense_count"],
             fd_step=echo["fd_step"],
-            anchor_exclusion=echo["anchor_exclusion"],
-            refine_radius=echo["refine_radius"],
-            polish_radius=echo["polish_radius"],
             refine_stages=echo["refine_stages"],
             check_truncation=echo["check_truncation"],
-            truncation_rtol=echo["truncation_rtol"],
             seed=echo["seed"],
         )
         run = report["run"]
@@ -230,6 +236,11 @@ class TestCli:
             pytest.param(["rep-energy", "--delta", "0"], id="delta-zero"),
             pytest.param(["rep-energy", "--delta", "inf"], id="delta-inf"),
             pytest.param(["rep-energy", "--sphere-order", "0"], id="sphere-order-zero"),
+            # 600 halvings of h0 take h**2 to 0; 1100 take h itself to 0 (and 2.0**1100 overflows)
+            pytest.param(["ks-energy", "--resolution", "8", "--ball-order", "4,16", "--h-count", "600"],
+                         id="h-count-600"),
+            pytest.param(["ks-energy", "--resolution", "8", "--ball-order", "4,16", "--h-count", "1100"],
+                         id="h-count-1100"),
             pytest.param(["convergence", "--resolution", "8", "--sweep", "foo"], id="sweep-unknown"),
             pytest.param(["convergence", "--resolution", "8", "--sweep", "h,"], id="sweep-empty-name"),
             pytest.param(["convergence", "--map", "linear:1,0,0;0,1,0", "--lower", "0,0,0", "--upper", "1,1,1",
