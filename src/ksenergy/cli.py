@@ -3,8 +3,8 @@
 Subcommands: ks-energy, rep-energy, compare, counterexample, convergence,
 oracle. Reports are canonical JSON (sorted keys, repr floats); sweep tables
 and density fields go to CSV. Identical configuration and seed produce
-byte-identical JSON regardless of --workers, timing fields aside, at a fixed
-BLAS thread count (a threaded BLAS can change the last digit).
+byte-identical JSON regardless of --workers and of the BLAS thread count,
+timing fields aside.
 
 --config FILE holds a JSON object of flag values. Keys are flag names
 without "--" ("K", "h-count", "ball-order"); values are parsed exactly like

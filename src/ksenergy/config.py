@@ -11,8 +11,8 @@ from . import quadrature
 
 # How the directional sup is searched: a fixed recipe, echoed in every report's config block
 ANCHOR_EXCLUSION = 64.0  # the scan skips anchors within this many fd steps of u(x)
-REFINE_RADIUS = 4.0  # the climb's trial anchors sit this far from u(x)
-POLISH_RADIUS = 32.0  # and the far-radius polish's this far
+REFINE_RADIUS = 4.0  # a seeded ray's near anchor sits this far from u(x)
+POLISH_RADIUS = 32.0  # and its far anchor, where the stencil error is negligible, this far
 TRUNCATION_RTOL = 1e-3  # the 2K probe flags a relative change of the energy above this
 
 
@@ -22,7 +22,8 @@ class EnergyConfig:
 
     The KS ladder is h0 / 2^j, j = 1..h_count. fd_step None means "smallest
     grid spacing / 8", resolved per grid. sphere_order / ball_order None pick
-    the per-dimension defaults from the quadrature module. How the
+    the per-dimension defaults from the quadrature module. refine False
+    leaves the directional sup to the prefix scan (no seeded rays). How the
     directional sup is searched (anchor exclusion, refinement and polish
     radii, the 2K probe's tolerance) is a fixed recipe: the module
     constants above, echoed by `to_dict`.
@@ -35,7 +36,7 @@ class EnergyConfig:
     ball_order: Optional[tuple] = None
     dense_count: int = 512
     fd_step: Optional[float] = None
-    refine_stages: int = 8
+    refine: bool = True
     check_truncation: bool = True
     seed: int = 0
     workers: int = 1
@@ -52,8 +53,6 @@ class EnergyConfig:
             value = getattr(self, name)
             if value is not None and np.any(np.asarray(value) < 1):
                 raise ConfigError(f"{name} entries must be >= 1, got {value}")
-        if self.refine_stages < 0:
-            raise ConfigError(f"refine_stages must be >= 0, got {self.refine_stages}")
         if self.dense_count < 1:
             raise ConfigError("dense_count must be >= 1")
         if self.workers < 1:

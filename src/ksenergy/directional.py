@@ -16,25 +16,22 @@ The sup over D is realized in two layers, both deterministic:
   and copies it between batches at each such length: the 2K truncation
   probe and the K ladder of a convergence sweep come from the same pass,
   and each copy equals a separate scan of that prefix. A repeated gradient
-  cannot raise M or move arg (the first anchor realizing it), so each node
-  scans only its distinct gradients of each batch; dedup is per batch and
-  conservative (it may keep a repeat, never drops a first occurrence), and
-  the result is exactly that of a scan anchor by anchor;
-* a per-(node, direction) refinement that walks the direction of the anchor
-  ray in the target representation space, snapping every trial anchor to a
-  dyadic lattice point so the search never leaves the dense set. Refinement
-  anchors sit at `REFINE_RADIUS`, with a final polish at `POLISH_RADIUS`
-  where the stencil error is negligible. Every trial of a sweep perturbs the
-  sweep-start ray, so the rows of a node that share a ray share every trial
-  anchor: target distances are evaluated once per such group, and groups
-  split only at the end of a sweep, by the trial each row took last. The
-  result is exactly that of a climb row by row.
+  cannot raise M, so each node scans only its distinct gradients of each
+  batch; dedup is per batch and conservative (it may keep a repeat, never
+  drops a first occurrence), and since a max does not depend on order the
+  result is exactly that of a scan anchor by anchor;
+* on a target with a smooth norm (Euclidean), one seeded ray per (node,
+  direction) row: the sup over far anchors is reached on the ray
+  u(x) - radius * J nu / |J nu| (Kirchheim 1994), and J comes from the
+  stencil. Its anchors are snapped to the dyadic lattice, at
+  `REFINE_RADIUS` and at `POLISH_RADIUS` where the stencil error is
+  negligible. Max-norm, circle and Q-point targets keep the scan alone.
 
 Both layers only ever evaluate members of the dense set, and values are
 monotone in K by construction. They are lower bounds of the true supremum
 only as far as no stencil straddles a kink of x -> d(u(x), xi): observed,
 not proved, when the map, grid and fd step are all dyadic (README
-"Numerical notes" gives a non-dyadic overshoot; ROADMAP item 1).
+"Numerical notes" gives a non-dyadic overshoot; ROADMAP item 3).
 
 The field holds one column per class of directions equal up to sign (g is
 even in nu), and every energy reads it the same way, by direction: the
@@ -101,18 +98,13 @@ class DirectionalField:
     """Directional moduli g_nu(x) on a point set, plus the minimal gradient."""
 
     dirs: np.ndarray  # (D, n) unit directions
-    reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ refinement)
+    reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ seeded rays)
     gmin: np.ndarray  # (N,)
     dense_count: int
     workers: int = 1  # threads that reduce its densities (cfg.workers of the run)
 
     def columns(self, directions, k=None):
-        """(N, len(directions)) g_nu at prefix k (default K), looked up by direction.
-
-        Column fancy indexing returns a Fortran-ordered table, and matmuls
-        over it round by that layout: an `np.take` copy (C order) changes
-        reports in the last digit.
-        """
+        """(N, len(directions)) g_nu at prefix k (default K), looked up by direction."""
         return self.reduced[self.dense_count if k is None else k][:, self._column_index(directions)]
 
     def _column_index(self, directions):
@@ -145,27 +137,29 @@ class DirectionalField:
         Without weights it is the plain sum over the directions (the frame
         sum); radii and scale default to 1. The density is reduced per node
         chunk in `workers` threads, so no (N, len(directions)) table is
-        built. Each chunk gathers its rows, then its columns (the
-        Fortran-ordered block of `columns`), and applies * radii, ** p,
-        * scale and @ weights in place, in that order: the operations and
-        layout of a full-size table, so the values are the same bit for bit.
+        built. Each chunk gathers its rows, then its columns into a C-ordered
+        block, and applies * radii, ** p, * scale and * weights in place, in
+        that order, then sums each row: the operations of a full-size table,
+        so the values are the same bit for bit. The row sum is numpy's
+        pairwise sum over contiguous terms, not a BLAS product, so no BLAS
+        thread count changes a digit; it also rounds less than a BLAS dot or
+        a sequential sum.
         """
         table = self.reduced[self.dense_count if k is None else k]
         cols = self._column_index(directions)
 
         def work(start, stop):
-            # chunks start at multiples of CHUNK (a multiple of 4), so a
-            # single-threaded BLAS rounds a row in the matmul's tail path only
-            # where it would in the full table; errstate is per thread, and
-            # an overflow shows up as a non-finite report number
+            # errstate is per thread; an overflow shows up as a non-finite report number
             with np.errstate(all="ignore"):
-                block = table[start:stop][:, cols]
+                block = np.take(table[start:stop], cols, axis=1)
                 if radii is not None:
                     block *= radii
                 block **= p
                 if scale is not None:
                     block *= scale
-                return block @ weights if weights is not None else np.sum(block, axis=1)
+                if weights is not None:
+                    block *= weights
+                return np.sum(block, axis=1)
 
         parts = run_chunked(work, table.shape[0], self.workers)
         return np.concatenate(parts) if parts else np.zeros(0)
@@ -188,7 +182,7 @@ def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
     the anchor-prefix lengths to report; it must contain K = cfg.dense_count
     and defaults to (K, 2K) when cfg.check_truncation is set (the
     under-truncation probe) and to (K,) otherwise. Every reported length
-    gets the same refinement.
+    gets the same seeded rays.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -226,7 +220,7 @@ def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
         reduced = {k: np.zeros((0, reps.shape[0])) for k in prefixes}
         gmin = np.zeros(0)
     # gmin is the running max over every reported value (NaN propagates), so
-    # one check on it catches a non-finite refinement value anywhere
+    # one check on it catches a non-finite seeded value anywhere
     if not np.all(np.isfinite(gmin)):
         raise _non_finite(metric_map)
 
@@ -241,20 +235,17 @@ def _non_finite(metric_map):
 
 
 def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
-    """Prefix scan + refinement for one block of points.
+    """Prefix scan + seeded rays for one block of points.
 
     One running max over the anchor enumeration. Anchor batches end at every
     multiple of 128 and at every length in `prefixes`, so each prefix is a
-    copy of M between batches and no batch straddles K = cfg.dense_count.
-    Below K the update is strict, so `arg` keeps the first anchor that
-    realizes the max (the refinement's seed). `grid` bounds the stencil, as
-    in `maps.eval_stencil`.
+    copy of M between batches; gmin's scan covers the K = cfg.dense_count
+    prefix. `grid` bounds the stencil, as in `maps.eval_stencil`.
 
-    Distinct-gradient rule: a repeated gradient cannot raise M or move arg.
-    Each batch is scanned over its slots (`_distinct_slots`): per node, the
-    batch's distinct gradients in order of first occurrence, each carrying
-    that anchor index as its `arg`. A first occurrence overall is also first
-    in its own batch, so per-batch dedup keeps it.
+    Distinct-gradient rule: a repeated gradient cannot raise M or gmin, so
+    each batch is scanned over its slots (`_distinct_slots`): per node, the
+    batch's distinct gradients. The seeded rays (`_refine_chunk`) then raise
+    every prefix's values.
     Returns ([g at each prefix length], gmin).
     """
     space = metric_map.target
@@ -265,12 +256,8 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
     r_excl = ANCHOR_EXCLUSION * delta
 
     M = np.zeros((N, R))
-    arg = np.zeros((N, R), dtype=np.int64)
     gmin = np.zeros(N)
-    gmin_arg = np.zeros(N, dtype=np.int64)
     proj = np.empty((N, R))
-    upd = np.empty((N, R), dtype=bool)
-    nupd = np.empty(N, dtype=bool)
     reps_t = reps.T
     snaps = []
 
@@ -282,32 +269,27 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         grads = stencil.gradient(space, xi)
         grads[center < r_excl] = 0.0
         norms = _gradient_norms(grads)
-        # a finite norm bounds every projection, and the strict update below
-        # would silently drop a NaN
+        # overflow is caught here, where it arises, and a finite norm bounds every projection
         if not np.all(np.isfinite(norms)):
             raise _non_finite(metric_map)
-        vecs, vnorms, occ = _distinct_slots(grads, norms, b0)
+        vecs, vnorms = _distinct_slots(grads, norms)
         for s in range(vecs.shape[0]):
             np.matmul(vecs[s], reps_t, out=proj)
             np.abs(proj, out=proj)
-            if b0 >= K:
-                np.maximum(M, proj, out=M)
-            else:
-                np.greater(proj, M, out=upd)
-                np.copyto(M, proj, where=upd)
-                np.copyto(arg, occ[s][:, None], where=upd)
-                np.greater(vnorms[s], gmin, out=nupd)
-                np.copyto(gmin, vnorms[s], where=nupd)
-                np.copyto(gmin_arg, occ[s], where=nupd)
+            np.maximum(M, proj, out=M)
+            if b0 < K:
+                np.maximum(gmin, vnorms[s], out=gmin)
         if b1 in prefixes[:-1]:
             snaps.append(M.copy())
     snaps.append(M)  # the scan ends at the longest prefix
 
-    accel, accel_norm = _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg)
-    gmin = np.maximum(gmin, accel_norm)
+    seeded = _refine_chunk(space, stencil, reps, cfg)
+    if seeded is not None:
+        np.maximum(gmin, seeded[1], out=gmin)
+        for s in snaps:
+            np.maximum(s, seeded[0], out=s)
     for s in snaps:
-        np.maximum(s, accel, out=s)
-        gmin = np.maximum(gmin, s.max(axis=1))
+        np.maximum(gmin, s.max(axis=1), out=gmin)
     return snaps, gmin
 
 
@@ -366,21 +348,20 @@ def _first_occurrences(grads, least):
     return keep.reshape(N, B)
 
 
-def _distinct_slots(grads, norms, b0):
-    """The scan slots of one anchor batch: (vecs (S, N, n), norms (S, N), occ (S, N)).
+def _distinct_slots(grads, norms):
+    """The scan slots of one anchor batch: (vecs (S, N, n), norms (S, N)).
 
     Slot s of node i holds the node's s-th distinct gradient in order of
-    first occurrence (`_first_occurrences`), with that anchor's norm and
-    index `occ`. Nodes with fewer slots are padded with zero vectors, which
-    never raise M or gmin, at an occurrence past the batch. When compressing
-    saves fewer than B / 8 slots (every vector is distinct, say), the slots
-    are the anchors themselves.
+    first occurrence (`_first_occurrences`), with its norm. Nodes with fewer
+    slots are padded with zero vectors, which never raise M or gmin. When
+    compressing saves fewer than B / 8 slots (every vector is distinct,
+    say), the slots are the anchors themselves.
     """
     N, B, n = grads.shape
     # the loop pays per slot and the compression per batch
     keep = _first_occurrences(grads, max(B // 8, 1))
     if keep is None:
-        return grads.swapaxes(0, 1), norms.T, np.broadcast_to(np.arange(b0, b0 + B)[:, None], (B, N))
+        return grads.swapaxes(0, 1), norms.T
     counts = np.count_nonzero(keep, axis=1)
     S = int(counts.max())
     src = np.flatnonzero(keep)
@@ -390,188 +371,62 @@ def _distinct_slots(grads, norms, b0):
     idx[slot * N + src // B] = src
     idx = idx.reshape(S, N)
     vecs = np.take(np.concatenate([grads.reshape(N * B, n), np.zeros((1, n))]), idx, axis=0)
-    vnorms = np.take(np.append(norms, 0.0), idx)
-    return vecs, vnorms, b0 + idx - np.arange(0, N * B, B)
+    return vecs, np.take(np.append(norms, 0.0), idx)
 
 
-def _refine_chunk(metric_map, stencil, pts, reps, anchors, arg, gmin_arg, delta, cfg):
-    """Deterministic anchor-ray refinement for one block of points.
+def _refine_chunk(space, stencil, reps, cfg):
+    """The seeded rays of one block of points: (g (N, R), gmin (N,)), or None.
 
-    Walks the unit direction w of the ray u(x) - radius * w in representation
-    space, snapping candidates to the dyadic lattice; the projection
-    objective is maximized per (point, direction) row, the norm objective per
-    point (for the minimal gradient).
-
-    Sharing rule: every trial of a sweep perturbs the sweep-start w (the
-    m = 1 trials do not depend on w at all), so rows of one node that start a
-    sweep on the same ray share every trial anchor of that sweep. Target
-    distances are evaluated once per such group (`_RayGroups`); only the
-    scalar objective and the `val > best` update run per row. Groups start
-    as (node, seed anchor) and split only at the end of a sweep, by the trial
-    each row took last; the far-radius polish windows are sweeps too.
+    For a target with a smooth norm (`space.jacobian_ray`), the sup over
+    far anchors xi of |nu . grad d(u(x), xi)| is the norm of the metric
+    differential applied to nu, reached on the ray xi = u(x) - radius * w
+    with w = J nu / |J nu|; the sup of |grad d(u(x), xi)| is reached with w
+    the top left singular vector of J. J comes from the stencil's central
+    differences, so the seed costs no map evaluation. Each row evaluates its
+    objective at the anchors of that ray snapped to the dyadic lattice at
+    `REFINE_RADIUS` and `POLISH_RADIUS`, and keeps the larger; a row with
+    J nu = 0 (J = 0 for gmin) gets 0, so it keeps its scan value. None, with
+    no distance or snap evaluated, when cfg.refine is off or the target
+    takes no seed.
     """
-    if cfg.refine_stages <= 0:
-        return np.zeros((pts.shape[0], reps.shape[0])), np.zeros(pts.shape[0])
-    space = metric_map.target
-    N, n = pts.shape
-    R = reps.shape[0]
-    m = space.rep_dim
-    depth = _snap_depth(delta)
+    if not (cfg.refine and space.jacobian_ray):
+        return None
+    n = len(stencil.plus)
+    depth = _snap_depth(stencil.delta)
+    # 2 delta J e_i; the common factor 2 delta drops out of every direction
+    cols = [plus - minus for plus, minus in zip(stencil.plus, stencil.minus)]
 
-    def project_objective(diffs):
-        j = np.zeros((N, R))
-        for i in range(n):
-            j += diffs[i].reshape(N, R) * reps[:, i]
-        return np.abs(j).ravel() / (2.0 * delta)
+    def on_ray(w, objective):
+        """(N, W) max over both radii of the objective at u0 - radius * w / |w|, or 0 where w = 0."""
+        length = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+        live = length > 0
+        w = w / np.where(live, length, 1.0)
+        best = np.zeros(w.shape[:-1])
+        for radius in (REFINE_RADIUS, POLISH_RADIUS):
+            anchor = space.snap(stencil.u0[:, None, :] - radius * w, depth)
+            diffs = [space.distance(plus[:, None, :], anchor) - space.distance(minus[:, None, :], anchor)
+                     for plus, minus in zip(stencil.plus, stencil.minus)]
+            np.maximum(best, objective(diffs), out=best)
+        return np.where(live[..., 0], best, 0.0)
 
-    def norm_objective(diffs):
-        sq = np.zeros(N)
-        for i in range(n):
-            sq += diffs[i] ** 2
-        return np.sqrt(sq) / (2.0 * delta)
+    def projection(diffs):
+        j = diffs[0] * reps[:, 0]
+        for i in range(1, n):
+            j += diffs[i] * reps[:, i]
+        return np.abs(j) / (2.0 * stencil.delta)
 
-    def sweep(groups, trials, radius, best, objective):
-        """Each row keeps the best of the trials; returns whether any row moved."""
-        pick = np.zeros(best.shape, dtype=np.intp)
-        cands = []
-        for t, cand in enumerate(trials, 1):
-            val = groups.evaluate(cand, radius, objective)
-            take = val > best
-            np.copyto(best, val, where=take)
-            pick[take] = t
-            cands.append(cand)
-        moved = bool(pick.any())
-        if moved:
-            groups.split(cands, pick)
-        return moved
+    def gradient_norm(diffs):
+        sq = diffs[0] * diffs[0]
+        for i in range(1, n):
+            sq += diffs[i] * diffs[i]
+        return np.sqrt(sq) / (2.0 * stencil.delta)
 
-    def climb(seeds, per_node, objective):
-        groups = _RayGroups(space, depth, stencil, anchors, seeds, per_node)
-        best = groups.evaluate(groups.w, REFINE_RADIUS, objective)
-        if m == 1:
-            trials = (np.full((groups.size, 1), sign) for sign in (1.0, -1.0))
-            sweep(groups, trials, REFINE_RADIUS, best, objective)
-        else:
-            window = 0.8
-            for _ in range(cfg.refine_stages):
-                # several sweeps per scale: one sweep cannot cover multi-step
-                # tangent walks when the start is far off (m >= 3 especially)
-                for _ in range(3):
-                    if not sweep(groups, _perturb(groups.w, window, m), REFINE_RADIUS, best, objective):
-                        break
-                window /= 3.0
-        # far-radius polish: stencil error dies off like 1/radius^2, and two
-        # fine rotations absorb the near-radius snap quantization
-        far = groups.evaluate(groups.w, POLISH_RADIUS, objective)
-        if m >= 2:
-            for window in (4e-4, 1.3e-4):
-                sweep(groups, _perturb(groups.w, window, m), POLISH_RADIUS, far, objective)
-        return np.maximum(best, far)
-
-    g_accel = climb(arg.ravel(), R, project_objective).reshape(N, R)
-    gmin_accel = climb(gmin_arg, 1, norm_objective)
-    return g_accel, gmin_accel
-
-
-class _RayGroups:
-    """Climb rows grouped by (node, ray direction w); row r belongs to node r // per_node.
-
-    Keeps each group's stencil values and w; `evaluate` computes the target
-    distances once per group and hands the objective per-row differences.
-    Once every group is a single row, groups are renumbered as the rows
-    (row_g None) and nothing is gathered or regrouped any more.
-    """
-
-    def __init__(self, space, depth, stencil, anchors, seeds, per_node):
-        self.space = space
-        self.depth = depth
-        key = np.arange(seeds.size) // per_node * anchors.shape[0] + seeds
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        if first.size == seeds.size:
-            first, inv = np.arange(seeds.size), None
-        self.rep, self.row_g = first, inv
-        # np.take: row gathers of 2-d arrays by fancy indexing are several times slower
-        node = first // per_node
-        self.u0 = np.take(stencil.u0, node, axis=0)
-        self.plus = [np.take(p, node, axis=0) for p in stencil.plus]
-        self.minus = [np.take(p, node, axis=0) for p in stencil.minus]
-        self.w = _initial_directions(space, self.u0, np.take(anchors, seeds[first], axis=0))
-
-    @property
-    def size(self):
-        return self.w.shape[0]
-
-    def evaluate(self, cand, radius, objective):
-        """Per-row objective at the snapped anchors u0 - radius * cand (one cand row per group)."""
-        anchor = self.space.snap(self.u0 - radius * cand, self.depth)
-        diffs = []
-        for plus, minus in zip(self.plus, self.minus):
-            d = self.space.distance(plus, anchor) - self.space.distance(minus, anchor)
-            diffs.append(d if self.row_g is None else np.take(d, self.row_g))
-        return objective(diffs)
-
-    def split(self, cands, pick):
-        """End of a sweep: each row's w becomes the trial it took last.
-
-        pick[row] = t takes cands[t - 1]; 0 keeps the sweep-start w. A group
-        follows its first row; rows that picked otherwise move to new groups
-        keyed by (group, pick).
-        """
-        if self.row_g is not None:
-            ref = pick[self.rep]
-            stray = np.flatnonzero(pick != ref[self.row_g])
-            if stray.size:
-                self._add_groups(stray, cands, pick)
-            pick = ref
-        for t, cand in enumerate(cands, 1):
-            took = np.flatnonzero(pick == t)
-            self.w[took] = np.take(cand, took, axis=0)
-        if self.row_g is not None and self.size == self.row_g.size:
-            # every group is one row: renumber the groups as the rows
-            order = self.row_g
-            self.u0, self.w = np.take(self.u0, order, axis=0), np.take(self.w, order, axis=0)
-            self.plus = [np.take(p, order, axis=0) for p in self.plus]
-            self.minus = [np.take(p, order, axis=0) for p in self.minus]
-            self.rep, self.row_g = np.arange(order.size), None
-
-    def _add_groups(self, stray, cands, pick):
-        G = self.size
-        key = self.row_g[stray] * (len(cands) + 1) + pick[stray]
-        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        lead = stray[first]
-        old = self.row_g[lead]
-        w = np.take(self.w, old, axis=0)
-        for t, cand in enumerate(cands, 1):
-            took = np.flatnonzero(pick[lead] == t)
-            w[took] = np.take(cand, old[took], axis=0)
-        self.row_g[stray] = G + inv
-        self.rep = np.concatenate([self.rep, lead])
-        self.w = np.concatenate([self.w, w])
-        self.u0 = np.concatenate([self.u0, np.take(self.u0, old, axis=0)])
-        self.plus = [np.concatenate([p, np.take(p, old, axis=0)]) for p in self.plus]
-        self.minus = [np.concatenate([p, np.take(p, old, axis=0)]) for p in self.minus]
-
-
-def _initial_directions(space, u_rows, anchor_rows):
-    w = u_rows - anchor_rows
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
-    fallback = np.zeros_like(w)
-    fallback[:, 0] = 1.0
-    return np.where(norms > 1e-12, w / np.where(norms == 0, 1.0, norms), fallback)
-
-
-def _perturb(w, window, m):
-    """Trial directions around w: rotations for m=2, axis nudges otherwise."""
-    if m == 2:
-        c, s = math.cos(window), math.sin(window)
-        yield np.column_stack([c * w[:, 0] - s * w[:, 1], s * w[:, 0] + c * w[:, 1]])
-        yield np.column_stack([c * w[:, 0] + s * w[:, 1], -s * w[:, 0] + c * w[:, 1]])
-        return
-    for a in range(m):
-        for sign in (1.0, -1.0):
-            cand = w.copy()
-            cand[:, a] += sign * window
-            yield cand / np.linalg.norm(cand, axis=1, keepdims=True)
+    jnu = cols[0][:, None, :] * reps[:, 0, None]
+    for i in range(1, n):
+        jnu += cols[i][:, None, :] * reps[:, i, None]
+    u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
+    top = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
+    return on_ray(jnu, projection), on_ray(top[:, None, :], gradient_norm)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ class MetricSpace:
 
     kind = "abstract"
     rep_dim = 0
+    # True: the norm is smooth, so the directional sup is reached on the anchor
+    # ray along J nu, which the directional refinement evaluates
+    jacobian_ray = False
 
     def distance(self, a, b):
         raise NotImplementedError
@@ -136,6 +139,8 @@ class MetricSpace:
 class EuclideanSpace(MetricSpace):
     """R^m with the Euclidean distance; dense set = dyadic lattice."""
 
+    jacobian_ray = True
+
     def __init__(self, m):
         if m < 1:
             raise ConfigError("euclidean target needs dimension >= 1")
@@ -170,6 +175,8 @@ class EuclideanSpace(MetricSpace):
 
 class MaxNormPlane(EuclideanSpace):
     """R^2 with the distance induced by the maximum norm."""
+
+    jacobian_ray = False  # its norm has kinks: the scan alone realizes the sup
 
     def __init__(self):
         super().__init__(2)

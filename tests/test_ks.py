@@ -141,17 +141,5 @@ def test_config_validation():
         EnergyConfig(dense_count=0)
 
 
-@pytest.mark.parametrize(
-    "knob",
-    [
-        pytest.param({"refine_stages": -1}, id="refine-stages-negative"),
-    ],
-)
-def test_refinement_and_probe_knobs_are_validated(knob):
-    """An out-of-range knob is a ConfigError when the config is built, before any numerics."""
-    with pytest.raises(ConfigError):
-        EnergyConfig(**knob)
-
-
 def test_boundary_knob_values_are_accepted():
-    EnergyConfig(refine_stages=0)
+    assert EnergyConfig(refine=False).to_dict()["refine"] is False

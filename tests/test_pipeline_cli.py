@@ -72,7 +72,7 @@ class TestRunners:
     def test_counterexample_under_truncation_is_coded(self):
         """The 2K probe flag of counterexample gets its coded warning, so --strict sees it."""
         problem = Problem("max_norm_plane", "identity", (0.0, 0.0), (1.0, 1.0), (8, 8))
-        cfg = EnergyConfig(dense_count=1, refine_stages=0, sphere_order=16, h_count=3)
+        cfg = EnergyConfig(dense_count=1, refine=False, sphere_order=16, h_count=3)
         report, _, _ = run_counterexample(problem, cfg)
         assert report["under_truncation"] is True
         assert report["warnings"] == ["under_truncation", "frame_sum_not_larger"]
@@ -135,7 +135,7 @@ class TestConfigEcho:
             "p": 2.0, "h0": 0.05, "h_count": 6,
             "h_sequence": [0.025, 0.0125, 0.00625, 0.003125, 0.0015625, 0.00078125],
             "sphere_order": None, "ball_order": None, "dense_count": 512, "fd_step": None,
-            "anchor_exclusion": 64.0, "refine_radius": 4.0, "polish_radius": 32.0, "refine_stages": 8,
+            "anchor_exclusion": 64.0, "refine_radius": 4.0, "polish_radius": 32.0, "refine": True,
             "check_truncation": True, "truncation_rtol": 0.001, "seed": 0,
         }
 
@@ -151,7 +151,7 @@ class TestConfigEcho:
             ball_order=tuple(echo["ball_order"]),
             dense_count=echo["dense_count"],
             fd_step=echo["fd_step"],
-            refine_stages=echo["refine_stages"],
+            refine=echo["refine"],
             check_truncation=echo["check_truncation"],
             seed=echo["seed"],
         )
@@ -194,6 +194,19 @@ class TestCli:
                 "--workers", workers, "--json", str(out),
             ]) == 0
             body = json.loads(out.read_text())
+            body.pop("timing")
+            texts.append(json.dumps(body, sort_keys=True))
+        assert texts[0] == texts[1]
+
+    def test_blas_thread_count_never_changes_bytes(self):
+        """The max-norm identity at 64^2 read rep_energy_ball ...204 under one BLAS thread and ...203 under two."""
+        texts = []
+        for threads in ("1", "2"):
+            proc = run_python(["-m", "ksenergy.cli", "rep-energy", "--space", "max_norm_plane", "--map", "identity",
+                               "--p", "2"], OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                              MKL_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            body = json.loads(proc.stdout)
             body.pop("timing")
             texts.append(json.dumps(body, sort_keys=True))
         assert texts[0] == texts[1]
@@ -321,7 +334,7 @@ class TestCli:
         assert json.loads(err)["error"]["type"] == "NonFiniteResultError"
 
     def test_non_finite_scan_without_probe_or_refinement(self):
-        cfg = EnergyConfig(check_truncation=False, refine_stages=0, dense_count=32, sphere_order=16)
+        cfg = EnergyConfig(check_truncation=False, refine=False, dense_count=32, sphere_order=16)
         with pytest.raises(NonFiniteResultError):
             run_rep(small_problem("linear:1e200,0;0,1"), cfg, form="sphere")
 
