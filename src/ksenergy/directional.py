@@ -56,8 +56,12 @@ from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
 from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization
+from .spaces import _power
 
 INCREMENT_TOLERANCE = 1e-3  # IncrementCheck.holds allows the lhs this relative excess
+# rows per density block: a block of the 3,072 ball directions and the power's
+# temporary take 1.5 MB each (12.6 MB each for a whole 512-row chunk)
+DENSITY_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -137,29 +141,34 @@ class DirectionalField:
         Without weights it is the plain sum over the directions (the frame
         sum); radii and scale default to 1. The density is reduced per node
         chunk in `workers` threads, so no (N, len(directions)) table is
-        built. Each chunk gathers its rows, then its columns into a C-ordered
-        block, and applies * radii, ** p, * scale and * weights in place, in
-        that order, then sums each row: the operations of a full-size table,
-        so the values are the same bit for bit. The row sum is numpy's
-        pairwise sum over contiguous terms, not a BLAS product, so no BLAS
-        thread count changes a digit; it also rounds less than a BLAS dot or
-        a sequential sum.
+        built. Each chunk works in blocks of DENSITY_ROWS rows: it gathers
+        their columns into a C-ordered block, applies * radii, ** p (with
+        `spaces._power`, as the KS route does), * scale and * weights in
+        place, in that order, then sums each row: the operations of a
+        full-size table, so the values are the same bit for bit. The row
+        sum is numpy's pairwise sum over contiguous terms, not a BLAS
+        product, so no BLAS thread count changes a digit; it also rounds
+        less than a BLAS dot or a sequential sum.
         """
         table = self.reduced[self.dense_count if k is None else k]
         cols = self._column_index(directions)
 
         def work(start, stop):
+            out = np.empty(stop - start)
             # errstate is per thread; an overflow shows up as a non-finite report number
             with np.errstate(all="ignore"):
-                block = np.take(table[start:stop], cols, axis=1)
-                if radii is not None:
-                    block *= radii
-                block **= p
-                if scale is not None:
-                    block *= scale
-                if weights is not None:
-                    block *= weights
-                return np.sum(block, axis=1)
+                for r0 in range(start, stop, DENSITY_ROWS):
+                    r1 = min(r0 + DENSITY_ROWS, stop)
+                    block = np.take(table[r0:r1], cols, axis=1)
+                    if radii is not None:
+                        block *= radii
+                    block = _power(block, p)
+                    if scale is not None:
+                        block *= scale
+                    if weights is not None:
+                        block *= weights
+                    np.sum(block, axis=1, out=out[r0 - start : r1 - start])
+            return out
 
         parts = run_chunked(work, table.shape[0], self.workers)
         return np.concatenate(parts) if parts else np.zeros(0)
@@ -560,8 +569,7 @@ def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
     pts = grid.nodes[mask]
     base = metric_map.eval(pts)
     shifted = metric_map.eval(pts + h * v)
-    d = metric_map.target.distance(shifted, base)
-    lhs = grid.node_weight * pairwise_sum(d**cfg.p)
+    lhs = grid.node_weight * pairwise_sum(metric_map.target.distance(shifted, base, cfg.p))
 
     vnorm = float(np.linalg.norm(v))
     if vnorm == 0.0:
@@ -575,5 +583,5 @@ def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
             gfield = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid).values[:, 0]
             if _field_cache is not None:
                 _field_cache[key] = gfield
-        rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(gfield**cfg.p)
+        rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(_power(gfield.copy(), cfg.p))
     return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs))

@@ -8,6 +8,20 @@ with c_{n,p} = (n + p) / (n * omega_n), defined for x in the h-erosion of the
 domain. Integrals of e_h over the localization region are extrapolated in h
 to produce the energy; per-node extrapolation gives the limiting density
 field.
+
+The ball average runs per 512-row chunk of `run_chunked`, in tiles of
+`row_block` rows x `node_chunk` ball nodes (128 x 128), so a tile's ball
+points, map values and powered distances stay in a 2 MB L2. Each tile's
+ball points sit in one coordinate-major buffer, one contiguous plane per
+coordinate, and the map evaluators and distance kernels read those planes.
+The target's `distance(a, b, p)` returns d**p directly (see spaces.py), and
+each tile ends in `part += d**p @ w`. Every row sums the same batch dot
+products in the same order as without tiles. Each is a BLAS dgemv, and
+tiling changes no digit only while a row's dot product rounds the same
+wherever the row sits in its matrix: OpenBLAS's Haswell kernels sum rows
+in groups of 4 and the last (rows mod 4) with another kernel, so tiles
+that start at multiples of 128 rows keep every sum. That is observed with
+OpenBLAS, not guaranteed by a BLAS; tests/test_ks.py checks it.
 """
 
 import warnings
@@ -21,32 +35,38 @@ from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization, extrapolate_fields
 
 
+# one tile: its ball points, map values and distances (3 x 128 KB on a 2-d target) stay in L2
+row_block = 128  # rows
+node_chunk = 128  # ball nodes
+
+
 def approx_density_field(metric_map, points, h, cfg):
     """Vectorized e_h over rows of `points` (assumed inside the h-erosion), in cfg.workers threads."""
     n = points.shape[1]
     rule = cfg.ball_rule(n)
     c_np = energy_normalization(n, cfg.p)
     base = metric_map.eval(points)
-
-    node_chunk = 128  # ball nodes per broadcastable batch
+    hv = h * rule.nodes
+    batches = range(0, hv.shape[0], node_chunk)
 
     def work(start, stop):
         acc = np.zeros(stop - start)
-        sub = points[start:stop]
-        base_sub = base[start:stop]
+        # coordinate-major ball points: every x[..., c] slice is contiguous
+        buf = np.empty((n, min(row_block, stop - start), min(node_chunk, hv.shape[0])))
         # errstate is per thread; overflow shows up as the NonFiniteResultError below
         with np.errstate(all="ignore"):
-            for b0 in range(0, rule.nodes.shape[0], node_chunk):
-                hv = h * rule.nodes[b0 : b0 + node_chunk]
-                w = rule.weights[b0 : b0 + node_chunk]
-                # per-coordinate fill: the same sums as broadcasting over the
-                # length-n trailing axis, without its per-element inner loops
-                x = np.empty((sub.shape[0], hv.shape[0], n))
-                for c in range(n):
-                    np.add(sub[:, c, None], hv[None, :, c], out=x[..., c])
-                shifted = metric_map.eval(x)
-                d = metric_map.target.distance(shifted, base_sub[:, None, :])
-                acc += (d**cfg.p) @ w
+            for r0 in range(start, stop, row_block):
+                r1 = min(r0 + row_block, stop)
+                sub = points[r0:r1]
+                base_sub = base[r0:r1, None, :]
+                part = acc[r0 - start : r1 - start]
+                for b0 in batches:
+                    b1 = min(b0 + node_chunk, hv.shape[0])
+                    tile = buf[:, : r1 - r0, : b1 - b0]
+                    for c in range(n):
+                        np.add(sub[:, c, None], hv[None, b0:b1, c], out=tile[c])
+                    shifted = metric_map.eval(np.moveaxis(tile, 0, -1))
+                    part += metric_map.target.distance(shifted, base_sub, cfg.p) @ rule.weights[b0:b1]
         return acc
 
     parts = run_chunked(work, points.shape[0], cfg.workers)

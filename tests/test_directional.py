@@ -23,6 +23,7 @@ from ksenergy.directional import _gradient_norms, _reduce_directions
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap, _parse_matrix, eval_stencil
 from ksenergy.quadrature import sphere_nodes
+from ksenergy.spaces import _power
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 X0 = np.array([0.40625, 0.53125])  # generic interior node of the 16^2 grid
@@ -193,13 +194,14 @@ class TestRepEnergies:
                 radii = np.linalg.norm(ball.nodes, axis=1)
                 ball_dirs = ball.nodes / radii[:, None]  # no node at the origin in this rule
                 c_np = ksenergy.directional.energy_normalization(2, p)
-                # each row's terms contiguous, as in a chunk
-                table = lambda dirs, k=None: np.ascontiguousarray(f.columns(dirs, k))
+                # each row's terms contiguous, as in a chunk, raised to p by the kernels' power
+                table = lambda dirs, k=None: _power(np.ascontiguousarray(f.columns(dirs, k)), p)
                 full = {
-                    "sphere": np.sum(table(sphere.nodes) ** p * sphere.weights, axis=1),
-                    "sphere_2k": np.sum(table(sphere.nodes, 2 * cfg.dense_count) ** p * sphere.weights, axis=1),
-                    "ball": np.sum(c_np * (table(ball_dirs) * radii) ** p * ball.weights, axis=1),
-                    "frame": np.sum(table(np.eye(2)) ** p, axis=1),
+                    "sphere": np.sum(table(sphere.nodes) * sphere.weights, axis=1),
+                    "sphere_2k": np.sum(table(sphere.nodes, 2 * cfg.dense_count) * sphere.weights, axis=1),
+                    "ball": np.sum(c_np * _power(np.ascontiguousarray(f.columns(ball_dirs)) * radii, p) * ball.weights,
+                                   axis=1),
+                    "frame": np.sum(table(np.eye(2)), axis=1),
                 }
                 chunked = {
                     "sphere": frag.density_sphere,

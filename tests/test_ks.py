@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import ksenergy.ks
 from ksenergy import EnergyConfig, build_grid, density_limit, ks_energy, make_map, make_space
-from ksenergy.errors import ConfigError
+from ksenergy.errors import ConfigError, NonFiniteResultError
 from ksenergy.ks import _oscillates, approx_density_field
+from ksenergy.quadrature import energy_normalization
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 
@@ -50,6 +52,63 @@ class TestApproxDensity:
         m = make_map("identity", make_space("euclidean:2"), 2)
         val = _density(m, np.array([0.375, 0.625]), 0.02, cfg)
         assert val == pytest.approx(1.0, abs=1e-8)
+
+
+def _untiled_density(metric_map, points, h, cfg):
+    """e_h with every row in one block: broadcast ball points, one node batch after another."""
+    rule = cfg.ball_rule(points.shape[1])
+    base = metric_map.eval(points)[:, None, :]
+    acc = np.zeros(points.shape[0])
+    step = ksenergy.ks.node_chunk
+    for b0 in range(0, rule.nodes.shape[0], step):
+        x = points[:, None, :] + h * rule.nodes[None, b0 : b0 + step]
+        acc += metric_map.target.distance(metric_map.eval(x), base, cfg.p) @ rule.weights[b0 : b0 + step]
+    return energy_normalization(points.shape[1], cfg.p) * acc / h**cfg.p
+
+
+@pytest.mark.parametrize(
+    "map_spec,space_spec,box,p,ball_order",
+    [
+        # 841 eroded nodes: chunks of 512 and 329 rows; 200 ball nodes: a 72-node last batch
+        ("swirl:0.3", "euclidean:2", 33, 1.5, (5, 40)),
+        ("qsplit", "q:2:1", 33, 3.0, None),
+        ("identity", "max_norm_plane", 33, 2.5, (5, 40)),
+        ("linear:1,0.5,0;0.25,2,0.1;0,0.3,1", "euclidean:3", 8, 3.0, None),
+    ],
+)
+def test_tiles_never_change_bits(monkeypatch, map_spec, space_spec, box, p, ball_order):
+    """row_block 128, 256 and 512, at workers 1 and 2, give the one-block sum bit for bit.
+
+    The masks are no multiple of 128, so chunks end in partial tiles. The
+    equality is an assumption about the BLAS, not a guarantee: each tile
+    ends in a dgemv, and a row's dot product must round the same wherever
+    the row sits in its matrix. OpenBLAS's Haswell kernels sum rows in
+    groups of 4, and the last (rows mod 4) with another kernel, so tiles
+    that start at multiples of 128 keep every row's sum there. At 37 rows
+    only the last bits may differ.
+    """
+    n = 3 if space_spec == "euclidean:3" else 2
+    grid = build_grid([0.0] * n, [1.0] * n, [box] * n)
+    m = make_map(map_spec, make_space(space_spec), n)
+    points = grid.nodes[grid.inner_mask(0.05)]
+    want = _untiled_density(m, points, 0.025, EnergyConfig(p=p, ball_order=ball_order))
+    for row_block in (128, 256, 512, 37):
+        monkeypatch.setattr(ksenergy.ks, "row_block", row_block)
+        for workers in (1, 2):
+            cfg = EnergyConfig(p=p, ball_order=ball_order, workers=workers)
+            got = approx_density_field(m, points, 0.025, cfg)
+            if row_block % 128:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            else:
+                assert np.array_equal(got, want), (row_block, workers)
+
+
+@pytest.mark.parametrize("space_spec", ["euclidean:2", "max_norm_plane"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_distance_overflow_is_non_finite_error(space_spec, p):
+    m = make_map("linear:1e300,0;0,1", make_space(space_spec), 2)
+    with pytest.raises(NonFiniteResultError):
+        approx_density_field(m, np.array([[0.5, 0.5]]), 0.025, EnergyConfig(p=p, ball_order=(4, 16)))
 
 
 class TestKsEnergy:

@@ -199,17 +199,18 @@ class TestCli:
         assert texts[0] == texts[1]
 
     def test_blas_thread_count_never_changes_bytes(self):
-        """The max-norm identity at 64^2 read rep_energy_ball ...204 under one BLAS thread and ...203 under two."""
-        texts = []
-        for threads in ("1", "2"):
-            proc = run_python(["-m", "ksenergy.cli", "rep-energy", "--space", "max_norm_plane", "--map", "identity",
-                               "--p", "2"], OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                              MKL_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr
-            body = json.loads(proc.stdout)
-            body.pop("timing")
-            texts.append(json.dumps(body, sort_keys=True))
-        assert texts[0] == texts[1]
+        """64^2 reports under one and two BLAS threads; the max-norm rep_energy_ball once read ...204 and ...203."""
+        for args in (["rep-energy", "--space", "max_norm_plane", "--map", "identity", "--p", "2"],
+                     ["ks-energy", "--map", "swirl:0.3", "--p", "3"]):
+            texts = []
+            for threads in ("1", "2"):
+                proc = run_python(["-m", "ksenergy.cli", *args], OPENBLAS_NUM_THREADS=threads,
+                                  OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+                assert proc.returncode == 0, proc.stderr
+                body = json.loads(proc.stdout)
+                body.pop("timing")
+                texts.append(json.dumps(body, sort_keys=True))
+            assert texts[0] == texts[1], args
 
     @pytest.mark.parametrize(
         "args",

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksenergy import make_space, verify_metric_axioms
 from ksenergy.errors import ConfigError, InvalidPointError
+from ksenergy.spaces import _power
 
 TAU = 2 * math.pi
 
@@ -166,6 +167,119 @@ class TestKernelExactness:
         space = make_space(spec)
         a, b = _call_operands(shape_kind, space.rep_dim, 0)
         np.testing.assert_allclose(space.distance(a, b), _reference_distance(spec, a, b), rtol=1e-12, atol=0)
+
+
+def _sequential_kernel(spec, a, b):
+    """The p = 1 kernels written out: (squared distance, None) or (None, distance).
+
+    Euclidean and Q-point squares are summed in representation order, as
+    the kernels do at every size (the plain reductions above sum pairwise
+    from 8 terms and follow the permuted layout).
+    """
+    if spec == "circle" or spec == "max_norm_plane":
+        return None, _reference_distance(spec, a, b)
+    if spec.startswith("euclidean"):
+        Q, m = 1, int(spec.split(":")[1])
+    else:
+        Q, m = (int(v) for v in spec.split(":")[1:])
+    best = None
+    for perm in itertools.permutations(range(Q)):
+        cost = None
+        for i, j in enumerate(perm):
+            for c in range(m):
+                d = a[..., i * m + c] - b[..., j * m + c]
+                cost = d * d if cost is None else cost + d * d
+        best = cost if best is None else np.minimum(best, cost)
+    return best, None
+
+
+def _ks_operands(rep_dim, seed):
+    """The KS tile layout: coordinate-major (R, B, m) ball-point values against (R, 1, m) centres."""
+    rng = np.random.default_rng(seed)
+    planes = rng.normal(size=(rep_dim, 37, 128)) * 10.0 ** rng.uniform(-6, 6, size=(1, 37, 1))
+    return np.moveaxis(planes, 0, -1), rng.normal(size=(37, 1, rep_dim))
+
+
+ALL_SPECS = ["euclidean:1", "euclidean:2", "euclidean:3", "euclidean:8", "max_norm_plane", "circle",
+             "q:1:1", "q:2:1", "q:2:2", "q:3:1"]
+# every branch of the power helpers: the product forms and np.power
+POWERS = [1.0, 1.5, 2.0, 2.5, 3.0, 1.7]
+
+
+@pytest.mark.parametrize("shape_kind", ["broadcast", "rows", "ks"])
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_distance_power_is_the_kernels_power(spec, shape_kind):
+    """distance(a, b) is the sequential kernel bit for bit; distance(a, b, p) is `_power` of it.
+
+    Euclidean and Q-point targets return their squares as they are at p = 2.
+    """
+    space = make_space(spec)
+    for seed in range(2):
+        if shape_kind == "ks":
+            a, b = _ks_operands(space.rep_dim, seed)
+        else:
+            a, b = _call_operands(shape_kind, space.rep_dim, seed)
+        sq, d = _sequential_kernel(spec, a, b)
+        if d is None:
+            d = np.sqrt(sq)
+        assert np.array_equal(space.distance(a, b), d)
+        for p in POWERS:
+            want = sq if p == 2 and sq is not None else _power(d.copy(), p)
+            assert np.array_equal(space.distance(a, b, p), want), p
+
+
+LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+
+
+def _max_ulp(got, want):
+    """Largest |got - want| in ulps of want, for an np.longdouble reference."""
+    ulp = np.spacing(want.astype(np.float64)).astype(np.longdouble)
+    return np.max(np.abs(got.astype(np.longdouble) - want) / ulp)
+
+
+@pytest.mark.skipif(not LONG_DOUBLE, reason="needs an extended-precision np.longdouble")
+@pytest.mark.parametrize("p", POWERS)
+def test_power_within_1_5_ulp(p):
+    """`_power`, on every branch, against an extended-precision power over 1e-30..1e30."""
+    x = 10.0 ** np.random.default_rng(7).uniform(-30.0, 30.0, size=200_000)
+    assert _max_ulp(_power(x.copy(), p), x.astype(np.longdouble) ** np.longdouble(p)) <= 1.5
+
+
+@pytest.mark.skipif(not LONG_DOUBLE, reason="needs an extended-precision np.longdouble")
+@pytest.mark.parametrize("p", POWERS)
+def test_squared_kernels_within_3_ulp(p):
+    """Euclidean and Q-point powers against the exact power of the kernel's own squared distance.
+
+    sqrt(sq) adds half an ulp before `_power`, so the bound is 3 ulp
+    (sqrt(sq)**p reaches 2.9 at p = 3).
+    """
+    rng = np.random.default_rng(7)
+    a = 10.0 ** rng.uniform(-30.0, 30.0, size=(200_000, 2)) * rng.uniform(0.0, 1.0, size=(200_000, 2))
+    sq = (a[:, 0] * a[:, 0] + a[:, 1] * a[:, 1]).astype(np.longdouble)
+    want = sq ** (np.longdouble(p) / 2)
+    for spec, b in (("euclidean:2", np.zeros(2)), ("q:2:1", np.array([0.0, 0.0]))):
+        assert _max_ulp(make_space(spec).distance(a, b, p), want) <= 3.0, spec
+
+
+@pytest.mark.parametrize("spec", ["euclidean:2", "q:2:1"])
+@pytest.mark.parametrize("p", [1.5, 1.7, 2.5])
+def test_squared_kernels_keep_their_range(spec, p):
+    """d**p stays finite wherever it and the squared distance do: here d ~ 1e120."""
+    got = make_space(spec).distance(np.array([1e120, 3e119]), np.zeros(2), p)
+    assert got == pytest.approx(math.hypot(1e120, 3e119) ** p, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", POWERS)
+def test_powers_propagate_zero_inf_nan(p):
+    got = _power(np.array([0.0, np.inf, np.nan]), p)
+    assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
+    for spec in ("euclidean:2", "max_norm_plane", "q:2:1"):
+        space = make_space(spec)
+        a = np.zeros((3, space.rep_dim))
+        b = np.zeros((3, space.rep_dim))
+        b[1, 0], b[2, 0] = np.inf, np.nan
+        got = space.distance(a, b, p)
+        assert got[0] == 0.0 and got[1] == np.inf and np.isnan(got[2])
 
 
 @pytest.mark.parametrize("spec", ["euclidean:1", "euclidean:3", "max_norm_plane", "circle",
