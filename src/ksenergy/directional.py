@@ -62,6 +62,9 @@ INCREMENT_TOLERANCE = 1e-3  # IncrementCheck.holds allows the lhs this relative 
 # rows per density block: a block of the 3,072 ball directions and the power's
 # temporary take 1.5 MB each (12.6 MB each for a whole 512-row chunk)
 DENSITY_ROWS = 64
+# rows per seeded-ray block: a (rows, 192 direction classes, 2) temporary takes
+# 384 KiB (1.5 MiB for a whole 512-row chunk)
+REFINE_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +182,12 @@ class DirectionalField:
         return density, node_weight * pairwise_sum(density)
 
     def max_direction_gap(self):
-        """max g_nu - gmin over everything (must be <= 0 by construction)."""
-        return float(np.max(self.values - self.gmin[:, None]))
+        """max g_nu - gmin over everything (must be <= 0 by construction).
+
+        Every column of the reduced table is some direction's own column, so
+        its max is that of the expanded (N, D) `values`, without building it.
+        """
+        return float(np.max(self.reduced[self.dense_count] - self.gmin[:, None]))
 
 
 def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
@@ -397,6 +404,12 @@ def _refine_chunk(space, stencil, reps, cfg):
     J nu = 0 (J = 0 for gmin) gets 0, so it keeps its scan value. None, with
     no distance or snap evaluated, when cfg.refine is off or the target
     takes no seed.
+
+    The SVD runs once over all N rows; everything after it (J nu, the
+    normalised w, the snapped anchors, the 2n distance differences, the
+    gmin ray) goes in blocks of REFINE_ROWS rows, so no (N, R, m) temporary
+    is built. Every step is per row (elementwise work, last-axis sums, one
+    LAPACK SVD per matrix), so the values do not depend on the block height.
     """
     if not (cfg.refine and space.jacobian_ray):
         return None
@@ -404,16 +417,18 @@ def _refine_chunk(space, stencil, reps, cfg):
     depth = _snap_depth(stencil.delta)
     # 2 delta J e_i; the common factor 2 delta drops out of every direction
     cols = [plus - minus for plus, minus in zip(stencil.plus, stencil.minus)]
+    u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
+    top = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
 
-    def on_ray(w, objective):
-        """(N, W) max over both radii of the objective at u0 - radius * w / |w|, or 0 where w = 0."""
+    def on_ray(rows, w, objective):
+        """(B, W) max over both radii of the objective at u0 - radius * w / |w| on `rows`, or 0 where w = 0."""
         length = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
         live = length > 0
         w = w / np.where(live, length, 1.0)
         best = np.zeros(w.shape[:-1])
         for radius in (REFINE_RADIUS, POLISH_RADIUS):
-            anchor = space.snap(stencil.u0[:, None, :] - radius * w, depth)
-            diffs = [space.distance(plus[:, None, :], anchor) - space.distance(minus[:, None, :], anchor)
+            anchor = space.snap(stencil.u0[rows, None, :] - radius * w, depth)
+            diffs = [space.distance(plus[rows, None, :], anchor) - space.distance(minus[rows, None, :], anchor)
                      for plus, minus in zip(stencil.plus, stencil.minus)]
             np.maximum(best, objective(diffs), out=best)
         return np.where(live[..., 0], best, 0.0)
@@ -430,12 +445,17 @@ def _refine_chunk(space, stencil, reps, cfg):
             sq += diffs[i] * diffs[i]
         return np.sqrt(sq) / (2.0 * stencil.delta)
 
-    jnu = cols[0][:, None, :] * reps[:, 0, None]
-    for i in range(1, n):
-        jnu += cols[i][:, None, :] * reps[:, i, None]
-    u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
-    top = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
-    return on_ray(jnu, projection), on_ray(top[:, None, :], gradient_norm)[:, 0]
+    N = stencil.u0.shape[0]
+    g = np.empty((N, reps.shape[0]))
+    gmin = np.empty(N)
+    for r0 in range(0, N, REFINE_ROWS):
+        rows = slice(r0, r0 + REFINE_ROWS)
+        jnu = cols[0][rows, None, :] * reps[:, 0, None]
+        for i in range(1, n):
+            jnu += cols[i][rows, None, :] * reps[:, i, None]
+        g[rows] = on_ray(rows, jnu, projection)
+        gmin[rows] = on_ray(rows, top[rows, None, :], gradient_norm)[:, 0]
+    return g, gmin
 
 
 # ---------------------------------------------------------------------------

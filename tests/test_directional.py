@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from ksenergy import (
     run_convergence,
 )
 import ksenergy.directional
+import ksenergy.parallel
 from ksenergy import build_grid
 from ksenergy.config import ANCHOR_EXCLUSION
 from ksenergy.directional import _gradient_norms, _reduce_directions
@@ -236,6 +238,8 @@ class TestFieldInvariants:
     def test_gmin_dominates_every_direction(self, fields):
         for name, f in fields.items():
             assert f.max_direction_gap() <= 1e-9, name
+            # read from the reduced table, it is the max over the expanded one
+            assert f.max_direction_gap() == float(np.max(f.values - f.gmin[:, None])), name
 
     def test_evenness_exact(self, fields):
         # antipodal directions share a representative, so equality is exact
@@ -451,12 +455,27 @@ class TestDistinctScan:
         assert f.gmin[0] == f.gmin[2] == 0.0 and f.gmin[1] > 0.0
 
 
+# linear maps into Euclidean targets: a 2-d and a 3-d grid of two node chunks, and an 8-d target
+SEEDED_LINEAR = [
+    ("linear:1,0;0,2", "euclidean:2", 2, 32),
+    ("linear:1,0.5,0;0,2,0.25;0.3,0,1", "euclidean:3", 3, 12),
+    ("linear:1,0.5;-0.3,2;0.7,0.2;0,-1;0.25,0.25;-1.5,0.5;0.4,-0.6;0.1,1.1", "euclidean:8", 2, 16),
+]
+
+
+def _seeded_case(map_spec, space_spec, dim, res):
+    """(map, eroded nodes, the frame plus 12 seeded random unit directions, grid)."""
+    grid = build_grid([0.0] * dim, [1.0] * dim, [res] * dim)
+    m = make_map(map_spec, make_space(space_spec), dim)
+    pts = grid.nodes[grid.inner_mask(0.05)]
+    dirs = np.random.default_rng(0).normal(size=(12, dim))
+    dirs = np.concatenate([np.eye(dim), dirs / np.linalg.norm(dirs, axis=1, keepdims=True)])
+    return m, pts, dirs, grid
+
+
 @pytest.mark.parametrize(
     "map_spec, space_spec, dim, res",
-    [
-        ("linear:1,0;0,2", "euclidean:2", 2, 32),
-        ("linear:1,0.5,0;0,2,0.25;0.3,0,1", "euclidean:3", 3, 12),
-        ("linear:1,0.5;-0.3,2;0.7,0.2;0,-1;0.25,0.25;-1.5,0.5;0.4,-0.6;0.1,1.1", "euclidean:8", 2, 16),
+    SEEDED_LINEAR + [
         ("identity", "max_norm_plane", 2, 32),
         ("winding:2", "circle", 2, 32),
         ("qsplit", "q:2:1", 2, 32),
@@ -468,11 +487,7 @@ def test_seeded_ray_reaches_exact_moduli(map_spec, space_spec, dim, res):
     Every entry is at least its scan-only value, and fields are the same bit
     for bit at workers 1 and 2 (the 2-d and 3-d grids have two node chunks).
     """
-    grid = build_grid([0.0] * dim, [1.0] * dim, [res] * dim)
-    m = make_map(map_spec, make_space(space_spec), dim)
-    pts = grid.nodes[grid.inner_mask(0.05)]
-    dirs = np.random.default_rng(0).normal(size=(12, dim))
-    dirs = np.concatenate([np.eye(dim), dirs / np.linalg.norm(dirs, axis=1, keepdims=True)])
+    m, pts, dirs, grid = _seeded_case(map_spec, space_spec, dim, res)
     cfg = EnergyConfig(check_truncation=False)
     f, f2 = (directional_field(m, pts, dirs, replace(cfg, workers=w), grid) for w in (1, 2))
     scan = directional_field(m, pts, dirs, replace(cfg, refine=False), grid)
@@ -485,6 +500,60 @@ def test_seeded_ray_reaches_exact_moduli(map_spec, space_spec, dim, res):
     exact = np.linalg.norm(dirs @ a.T, axis=1)
     assert np.max(1.0 - f.values / exact) <= 1e-6
     assert np.max(np.abs(f.gmin - np.linalg.norm(a, 2))) <= 1e-6
+
+
+@pytest.mark.parametrize("map_spec, space_spec, dim, res", SEEDED_LINEAR + [("swirl:0.3", "euclidean:2", 2, 32)])
+def test_seeded_ray_blocks_never_change_bits(monkeypatch, map_spec, space_spec, dim, res):
+    """`_refine_chunk` gives the one-block result bit for bit at any REFINE_ROWS, at workers 1 and 2."""
+    m, pts, dirs, grid = _seeded_case(map_spec, space_spec, dim, res)
+    cfg = EnergyConfig(dense_count=16, check_truncation=False)
+    refine = ksenergy.directional._refine_chunk
+
+    def run(rows, workers):
+        seeded = {}  # chunk's first stencil row -> (g, gmin)
+
+        def record(space, stencil, reps, cfg):
+            seeded[stencil.u0[0].tobytes()] = out = refine(space, stencil, reps, cfg)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ksenergy.directional, "REFINE_ROWS", rows)
+            patch.setattr(ksenergy.directional, "_refine_chunk", record)
+            f = directional_field(m, pts, dirs, replace(cfg, workers=workers), grid)
+        return f, seeded
+
+    want, want_seeded = run(ksenergy.parallel.CHUNK, 1)
+    assert len(want_seeded) == -(-len(pts) // ksenergy.parallel.CHUNK)
+    for rows in (1, 37, 128, ksenergy.parallel.CHUNK):
+        for workers in (1, 2):
+            got, got_seeded = run(rows, workers)
+            assert got_seeded.keys() == want_seeded.keys()
+            for key, (g, gmin) in want_seeded.items():
+                assert np.array_equal(got_seeded[key][0], g) and np.array_equal(got_seeded[key][1], gmin), (rows, workers)
+            assert np.array_equal(got.reduced[16], want.reduced[16]) and np.array_equal(got.gmin, want.gmin)
+
+
+def test_seeded_rays_of_a_chunk_stay_small():
+    """One 512-row Euclidean chunk with compare's 192 direction classes peaks at <= 5 MiB under tracemalloc.
+
+    Evaluated as one block, it peaked at 12.2 MiB: each (rows, 192, 2) temporary takes 1.5 MiB.
+    """
+    cfg = EnergyConfig()
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [32, 32])
+    m = make_map("swirl:0.3", make_space("euclidean:2"), 2)
+    # the sphere, ball and frame directions of `rep_energies` (no node of the ball rule is at the origin)
+    ball = cfg.ball_rule(2).nodes
+    dirs = np.concatenate([cfg.sphere_rule(2).nodes, ball / np.linalg.norm(ball, axis=1, keepdims=True), np.eye(2)])
+    reps, _ = _reduce_directions(dirs)
+    assert reps.shape == (192, 2)
+    stencil = eval_stencil(m, grid.nodes[:512], cfg.resolved_fd_step(grid), grid)
+    tracemalloc.start()
+    try:
+        ksenergy.directional._refine_chunk(m.target, stencil, reps, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
