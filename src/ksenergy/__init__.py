@@ -16,7 +16,7 @@ from .directional import (
     rep_energies,
 )
 from .grid import DomainGrid, build_grid
-from .ks import density_limit, ks_energy
+from .ks import ks_energy
 from .maps import MetricMap, make_map
 from .oracles import linear_euclidean_density, maxnorm_counterexample_constants
 from .pipeline import Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
@@ -24,7 +24,6 @@ from .quadrature import (
     QuadratureRule,
     ball_nodes,
     energy_normalization,
-    extrapolate,
     sphere_nodes,
     unit_ball_volume,
 )
@@ -43,12 +42,10 @@ __all__ = [
     "ball_nodes",
     "build_grid",
     "check_increment_bound",
-    "density_limit",
     "directional_derivative",
     "directional_field",
     "directional_vector",
     "energy_normalization",
-    "extrapolate",
     "ks_energy",
     "linear_euclidean_density",
     "make_map",

@@ -132,12 +132,6 @@ class DirectionalField:
         """(N, D) g_nu at the K = dense_count prefix, expanded on each call."""
         return self.columns(self.dirs)
 
-    @property
-    def values_doubled(self):
-        """g_nu at the 2K prefix (the under-truncation probe), or None."""
-        k = 2 * self.dense_count
-        return self.columns(self.dirs, k) if k in self.reduced else None
-
     def density(self, directions, p, weights=None, radii=None, scale=None, k=None):
         """(N,) scale * sum_j weights_j (radii_j g_j)^p over `directions`, at prefix k (default K).
 
@@ -399,11 +393,11 @@ def _refine_chunk(space, stencil, reps, cfg):
     with w = J nu / |J nu|; the sup of |grad d(u(x), xi)| is reached with w
     the top left singular vector of J. J comes from the stencil's central
     differences, so the seed costs no map evaluation. Each row evaluates its
-    objective at the anchors of that ray snapped to the dyadic lattice at
-    `REFINE_RADIUS` and `POLISH_RADIUS`, and keeps the larger; a row with
-    J nu = 0 (J = 0 for gmin) gets 0, so it keeps its scan value. None, with
-    no distance or snap evaluated, when cfg.refine is off or the target
-    takes no seed.
+    objective (`Stencil.differences`, as the scan) at the anchors of that ray
+    snapped to the dyadic lattice at `REFINE_RADIUS` and `POLISH_RADIUS`,
+    and keeps the larger; a row with J nu = 0 (J = 0 for gmin) gets 0, so it
+    keeps its scan value. None, with no distance or snap evaluated, when
+    cfg.refine is off or the target takes no seed.
 
     The SVD runs once over all N rows; everything after it (J nu, the
     normalised w, the snapped anchors, the 2n distance differences, the
@@ -428,9 +422,7 @@ def _refine_chunk(space, stencil, reps, cfg):
         best = np.zeros(w.shape[:-1])
         for radius in (REFINE_RADIUS, POLISH_RADIUS):
             anchor = space.snap(stencil.u0[rows, None, :] - radius * w, depth)
-            diffs = [space.distance(plus[rows, None, :], anchor) - space.distance(minus[rows, None, :], anchor)
-                     for plus, minus in zip(stencil.plus, stencil.minus)]
-            np.maximum(best, objective(diffs), out=best)
+            np.maximum(best, objective(list(stencil.differences(space, anchor, rows))), out=best)
         return np.where(live[..., 0], best, 0.0)
 
     def projection(diffs):
@@ -440,10 +432,7 @@ def _refine_chunk(space, stencil, reps, cfg):
         return np.abs(j) / (2.0 * stencil.delta)
 
     def gradient_norm(diffs):
-        sq = diffs[0] * diffs[0]
-        for i in range(1, n):
-            sq += diffs[i] * diffs[i]
-        return np.sqrt(sq) / (2.0 * stencil.delta)
+        return _gradient_norms(np.stack(diffs, axis=-1)) / (2.0 * stencil.delta)
 
     N = stencil.u0.shape[0]
     g = np.empty((N, reps.shape[0]))
@@ -468,7 +457,8 @@ def directional_derivative(metric_map, x, nu, cfg, grid):
     nu = np.asarray(nu, dtype=np.float64)
     if not abs(np.linalg.norm(nu) - 1.0) <= 1e-12:
         raise InvalidDirectionError(f"|nu| must be 1 within 1e-12, got {np.linalg.norm(nu)!r}")
-    f = directional_field(metric_map, np.asarray(x, dtype=np.float64)[None, :], nu[None, :], cfg, grid)
+    f = directional_field(metric_map, np.asarray(x, dtype=np.float64)[None, :], nu[None, :], cfg, grid,
+                          prefixes=(cfg.dense_count,))
     return float(f.values[0, 0])
 
 
@@ -568,10 +558,6 @@ class IncrementCheck:
     def holds(self):
         return self.lhs <= self.rhs * (1.0 + INCREMENT_TOLERANCE) + 1e-300
 
-    @property
-    def ratio(self):
-        return self.lhs / self.rhs if self.rhs > 0 else (0.0 if self.lhs == 0 else math.inf)
-
 
 def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
     """Compare shifted-increment mass against the directional bound.
@@ -598,10 +584,10 @@ def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
         nu = v / vnorm
         key = tuple(np.round(nu, 15))
         if _field_cache is not None and key in _field_cache:
-            gfield = _field_cache[key]
+            field = _field_cache[key]
         else:
-            gfield = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid).values[:, 0]
+            field = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid, prefixes=(cfg.dense_count,))
             if _field_cache is not None:
-                _field_cache[key] = gfield
-        rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(_power(gfield.copy(), cfg.p))
+                _field_cache[key] = field
+        rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(field.density(nu[None], cfg.p))
     return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs))

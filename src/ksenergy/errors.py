@@ -34,7 +34,7 @@ class StencilRangeError(KSEnergyError):
 
 
 class ExtrapolationDataError(KSEnergyError):
-    """Not enough (h, value) pairs to extrapolate."""
+    """Too few h values, or h not strictly decreasing, for the extrapolation fit."""
 
 
 class NonFiniteResultError(KSEnergyError):

@@ -165,16 +165,6 @@ def ks_energy(metric_map, grid, cfg, mask=None):
     )
 
 
-def density_limit(metric_map, grid, cfg):
-    """Per-node extrapolated density over the h0-erosion.
-
-    Returns (node_indices, density) where density[i] belongs to
-    grid.nodes[node_indices[i]].
-    """
-    ks = ks_energy(metric_map, grid, cfg)
-    return ks.mask_indices, ks.ks_density
-
-
 def _oscillates(seq):
     if len(seq) < 3:
         return False

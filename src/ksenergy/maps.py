@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, MapEvaluationError, StencilRangeError
+from .errors import ConfigError, InvalidPointError, MapEvaluationError, StencilRangeError
 from .spaces import TAU, CircleSpace, EuclideanSpace, MaxNormPlane, MetricSpace, QPointsSpace
 
 
@@ -54,13 +54,20 @@ class Stencil:
     minus: list
     delta: float
 
+    def differences(self, space, anchors, rows=slice(None)):
+        """Yield d(u(x + delta e_i), xi) - d(u(x - delta e_i), xi), (B, A), for each coordinate i.
+
+        `anchors` is (A, rep_dim), shared by every row, or (B, A, rep_dim),
+        one set per row; `rows` picks the B stencil rows.
+        """
+        for plus, minus in zip(self.plus, self.minus):
+            yield space.distance(plus[rows, None, :], anchors) - space.distance(minus[rows, None, :], anchors)
+
     def gradient(self, space, anchors):
         """(N, A, n) central-difference gradients of x -> d(u(x), xi) for the (A, rep_dim) anchors xi."""
         grads = np.empty((self.u0.shape[0], anchors.shape[0], len(self.plus)))
-        for i, (plus, minus) in enumerate(zip(self.plus, self.minus)):
-            fp = space.distance(plus[:, None, :], anchors[None, :, :])
-            fm = space.distance(minus[:, None, :], anchors[None, :, :])
-            grads[:, :, i] = (fp - fm) / (2.0 * self.delta)
+        for i, diff in enumerate(self.differences(space, anchors)):
+            grads[:, :, i] = diff / (2.0 * self.delta)
         return grads
 
 
@@ -106,13 +113,15 @@ def _parse_matrix(text):
 
 
 def _spec_floats(spec, text, count=None):
-    """Comma-separated floats of a map spec's argument (`count` of them, when given)."""
+    """Comma-separated finite floats of a map spec's argument (`count` of them, when given)."""
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"malformed map spec {spec!r}") from exc
     if count is not None and len(values) != count:
         raise ConfigError(f"map spec {spec!r} takes {count} number(s)")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"map spec {spec!r} has non-finite numbers")
     return values
 
 
@@ -125,6 +134,8 @@ def make_map(spec, space, domain_dim):
     parts = str(spec).strip().split(":", 1)
     name = parts[0]
     arg = parts[1] if len(parts) > 1 else None
+    if name in ("identity", "qsplit") and arg is not None:
+        raise ConfigError(f"map {name!r} takes no argument, got {spec!r}")
 
     if name == "identity":
         if isinstance(space, CircleSpace) or space.rep_dim != domain_dim:
@@ -134,8 +145,11 @@ def make_map(spec, space, domain_dim):
         return MetricMap(space, lambda x: np.array(x, dtype=np.float64, copy=True), "identity")
 
     if name == "constant":
-        point = space.dense_point(0) if arg is None else np.array(_spec_floats(spec, arg))
-        point = space.validate_point(point)
+        point = space.dense_points(1)[0] if arg is None else np.array(_spec_floats(spec, arg))
+        try:
+            point = space.validate_point(point)
+        except InvalidPointError as exc:
+            raise ConfigError(f"map spec {spec!r}: {exc}") from exc
 
         def const_eval(x, point=point):
             return np.broadcast_to(point, x.shape[:-1] + (point.size,)).copy()

@@ -47,11 +47,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, values):
-        """Weighted sum of per-node values (leading axis = nodes)."""
-        v = np.asarray(values, dtype=np.float64)
-        return float(np.dot(self.weights, v)) if v.ndim == 1 else np.tensordot(self.weights, v, axes=(0, 0))
-
 
 def sphere_nodes(n, order=None, seed=0):
     """Quadrature rule for surface averages over S^(n-1).
@@ -140,39 +135,21 @@ def _gaussian_from_uniform(u):
     return ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
 
 
-@dataclass(frozen=True)
-class ExtrapolationResult:
-    limit: float
-    order: float
-    error: float
-    fallback: bool  # True when the order fit was ill-conditioned
-
-
-def extrapolate(pairs):
-    """Fit value = L + c * h^q on the last three (h, value) pairs.
-
-    h must be strictly decreasing. Returns the fitted limit L, the observed
-    order q, and |c| * h_last^q as the error estimate (the size of the final
-    correction). Near-constant tails short-circuit to (last value, 0, 0);
-    an unresolvable order falls back to a first-order fit and is flagged.
-    """
-    pairs = [(float(h), float(v)) for h, v in pairs]
-    if len(pairs) < 3:
-        raise ExtrapolationDataError(f"need at least 3 (h, value) pairs, got {len(pairs)}")
-    h = np.array([p[0] for p in pairs])
-    if not np.all(np.diff(h) < 0):
-        raise ExtrapolationDataError("h values must be strictly decreasing")
-    v = np.array([p[1] for p in pairs])
-    limit, order, err, fb = _fit_tail(h[-3:], v[-3:, None])
-    return ExtrapolationResult(float(limit[0]), float(order[0]), float(err[0]), bool(fb[0]))
-
-
 def extrapolate_fields(h, values):
-    """Vectorized tail fit: values has shape (len(h), N); returns 4 arrays (N,)."""
+    """Fit value = L + c * h^q on the last three h, per column of values (len(h), N).
+
+    h must be strictly decreasing. Returns four (N,) arrays: the fitted limit
+    L, the observed order q, |c| * h_last^q as the error estimate (the size
+    of the final correction), and the fallback flag. Near-constant tails
+    short-circuit to (last value, 0, 0); an unresolvable order falls back to
+    a first-order fit and is flagged.
+    """
     h = np.asarray(h, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if h.size < 3:
-        raise ExtrapolationDataError("need at least 3 h values")
+        raise ExtrapolationDataError(f"need at least 3 h values, got {h.size}")
+    if not np.all(np.diff(h) < 0):
+        raise ExtrapolationDataError("h values must be strictly decreasing")
     return _fit_tail(h[-3:], values[-3:])
 
 

@@ -3,8 +3,8 @@
 Every space works on fixed-length real vectors and exposes
 
 * ``distance(a, b, p=1)`` -- d(a, b)**p, broadcasting over leading axes,
-* ``dense_point(k)`` / ``dense_points(count)`` -- a deterministic enumeration
-  of a dense subset built from dyadic lattices,
+* ``dense_points(count)`` -- the first `count` points of a deterministic
+  enumeration of a dense subset built from dyadic lattices,
 * ``snap(points, depth)`` -- nearest member of the dense set on the depth-d
   dyadic sublattice (used to generate extra dense-set anchors on demand).
 
@@ -111,8 +111,8 @@ def _power(d, p):
 
     At p = 1.5, 2 and 3 the power is d*sqrt(d), d*d (the bits of numpy's
     d**2.0) and d*d*d, each within 1.5 ulp of d**p; p = 1 returns d itself.
-    Any other p goes to np.power. Every distance kernel, the directional
-    density and the increment check raise with it.
+    Any other p goes to np.power. Every distance kernel and the directional
+    density (and through it the increment check) raise with it.
     """
     if p == 1:
         return d
@@ -139,9 +139,6 @@ class MetricSpace:
 
     def dense_points(self, count):
         raise NotImplementedError
-
-    def dense_point(self, k):
-        return self.dense_points(k + 1)[k]
 
     def snap(self, points, depth):
         raise NotImplementedError

@@ -20,7 +20,6 @@ from ksenergy import (
     check_increment_bound,
     directional_derivative,
     directional_vector,
-    extrapolate,
     ks_energy,
     make_map,
     make_space,
@@ -31,7 +30,7 @@ from ksenergy import (
     verify_metric_axioms,
 )
 from ksenergy.cli import main
-from ksenergy.ks import density_limit
+from ksenergy.quadrature import extrapolate_fields
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 
@@ -117,7 +116,7 @@ def test_criterion_3_dirichlet_consistency():
         frag = rep_energies(metric_map, grid, cfg, forms=("sphere",))
         rep_density = frag.energy_sphere / frag.mask_measure
         worst_rep = max(worst_rep, abs(rep_density - target))
-        _, dens = density_limit(metric_map, grid, cfg)
+        dens = ks_energy(metric_map, grid, cfg).ks_density
         worst_ks = max(worst_ks, float(np.max(np.abs(dens - target))))
     ok = worst_rep <= 1e-6 and worst_ks <= 1e-3
     _announce(
@@ -187,8 +186,9 @@ def test_criterion_5_property_suites(unit_grid_16, cfg_small):
         ref = max(abs(frag.energy_sphere), 1e-12)
         if abs(frag.energy_sphere - frag.energy_ball) / ref > 5e-4:
             failures.append(f"sphere/ball {map_spec}")
-        if frag.field.values_doubled is not None and np.any(
-            frag.field.values_doubled < values - 1e-15
+        doubled = 2 * frag.field.dense_count
+        if doubled in frag.field.reduced and np.any(
+            frag.field.columns(frag.field.dirs, doubled) < values - 1e-15
         ):
             failures.append(f"K-monotonicity {map_spec}")
 
@@ -202,14 +202,15 @@ def test_criterion_5_property_suites(unit_grid_16, cfg_small):
             failures.append("homogeneity")
 
     rule = sphere_nodes(2, 256)
-    if abs(rule.weights.sum() - 1.0) > 1e-12 or abs(rule.integrate(rule.nodes[:, 0] ** 2) - 0.5) > 1e-13:
+    if abs(rule.weights.sum() - 1.0) > 1e-12 or abs(rule.weights @ rule.nodes[:, 0] ** 2 - 0.5) > 1e-13:
         failures.append("sphere rule")
     ball = ball_nodes(2)
     if abs(ball.weights.sum() - math.pi) > 1e-12:
         failures.append("ball rule")
     for q in (0.5, 1.0, 2.0):
-        res = extrapolate([(h, 3.0 + 0.7 * h**q) for h in (0.4, 0.2, 0.1)])
-        if abs(res.limit - 3.0) > 1e-9 or abs(res.order - q) > 1e-7:
+        hs = np.array([0.4, 0.2, 0.1])
+        limit, order, _, _ = extrapolate_fields(hs, (3.0 + 0.7 * hs**q)[:, None])
+        if abs(limit[0] - 3.0) > 1e-9 or abs(order[0] - q) > 1e-7:
             failures.append(f"extrapolation q={q}")
 
     _announce("5 (property suites)", not failures, "all suites clean" if not failures else f"failed: {failures}")

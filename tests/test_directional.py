@@ -51,6 +51,15 @@ class TestDirectionalDerivative:
         val = directional_derivative(m, X0, nu, cfg_small, unit_grid_16)
         assert val == pytest.approx(np.linalg.norm(a @ nu), abs=5e-7)
 
+    @pytest.mark.parametrize("map_spec, space_spec", [("swirl:0.3", "euclidean:2"), ("winding:2", "circle")])
+    def test_equals_the_k_column_of_a_probed_field(self, unit_grid_16, cfg_small, map_spec, space_spec):
+        """Scanning only the K prefix gives the K column of a field that also scans 2K, bit for bit."""
+        m = make_map(map_spec, make_space(space_spec), 2)
+        nu = np.array([0.6, 0.8])
+        probed = directional_field(m, X0[None, :], nu[None, :], cfg_small, unit_grid_16)
+        assert 2 * cfg_small.dense_count in probed.reduced
+        assert directional_derivative(m, X0, nu, cfg_small, unit_grid_16) == probed.values[0, 0]
+
     def test_rejects_non_unit_direction(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("euclidean:2"), 2)
         with pytest.raises(InvalidDirectionError):
@@ -257,8 +266,8 @@ class TestFieldInvariants:
 
     def test_doubled_prefix_never_smaller(self, fields):
         for f in fields.values():
-            assert f.values_doubled is not None
-            assert np.all(f.values_doubled >= f.values - 1e-15)
+            assert 2 * f.dense_count in f.reduced
+            assert np.all(f.columns(f.dirs, 2 * f.dense_count) >= f.values - 1e-15)
 
     def test_monotone_in_prefix_length(self, unit_grid_16):
         m = make_map("linear:1,0.5;0.25,2", make_space("euclidean:2"), 2)
@@ -324,7 +333,8 @@ class TestNestedScan:
         probe = EnergyConfig(dense_count=64, refine=False)
         doubled = replace(probe, dense_count=128, check_truncation=False)
         f = directional_field(m, pts, dirs, probe, unit_grid_16)
-        assert np.array_equal(f.values_doubled, directional_field(m, pts, dirs, doubled, unit_grid_16).values)
+        assert np.array_equal(f.columns(dirs, 2 * f.dense_count),
+                              directional_field(m, pts, dirs, doubled, unit_grid_16).values)
 
     def test_every_prefix_length_is_a_separate_scan(self, unit_grid_16):
         m = make_map("linear:1,0.5;0.25,2", make_space("euclidean:2"), 2)
@@ -641,7 +651,7 @@ class TestSphereLadder:
         pick = np.random.default_rng(0).permutation(len(f.dirs))[:11]
         subset = f.dirs[pick] * np.where(np.arange(11) % 2, -1.0, 1.0)[:, None]
         assert np.array_equal(f.columns(subset), f.values[:, pick])
-        assert np.array_equal(f.columns(subset, 2 * f.dense_count), f.values_doubled[:, pick])
+        assert np.array_equal(f.columns(subset, 2 * f.dense_count), f.columns(f.dirs, 2 * f.dense_count)[:, pick])
 
     def test_rule_the_field_lacks_raises(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("max_norm_plane"), 2)
@@ -676,7 +686,7 @@ class TestIncrementBound:
         rec = check_increment_bound(m, unit_grid_16, v, 0.05, cfg_small)
         assert rec.holds
         inner = unit_grid_16.inner_mask(0.05).sum() * unit_grid_16.node_weight
-        assert rec.ratio == pytest.approx(inner / unit_grid_16.measure, rel=1e-6)
+        assert rec.lhs / rec.rhs == pytest.approx(inner / unit_grid_16.measure, rel=1e-6)
 
     def test_short_vector(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("euclidean:2"), 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ksenergy.ks
-from ksenergy import EnergyConfig, build_grid, density_limit, ks_energy, make_map, make_space
+from ksenergy import EnergyConfig, build_grid, ks_energy, make_map, make_space
 from ksenergy.errors import ConfigError, NonFiniteResultError
 from ksenergy.ks import _oscillates, approx_density_field
 from ksenergy.quadrature import energy_normalization
@@ -165,23 +165,24 @@ class TestKsEnergy:
 class TestDensityLimit:
     def test_identity_field_is_one(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("euclidean:2"), 2)
-        idx, dens = density_limit(m, unit_grid_16, cfg_small)
+        rep = ks_energy(m, unit_grid_16, cfg_small)
+        idx, dens = rep.mask_indices, rep.ks_density
         assert len(idx) > 0
         assert np.max(np.abs(dens - 1.0)) < 1e-9
 
     def test_max_norm_field(self, unit_grid_16, cfg_small):
         m = make_map("identity", make_space("max_norm_plane"), 2)
-        _, dens = density_limit(m, unit_grid_16, cfg_small)
+        dens = ks_energy(m, unit_grid_16, cfg_small).ks_density
         assert np.max(np.abs(dens - MAXNORM_DENSITY)) < 5e-4
 
     def test_constant_field_zero(self, unit_grid_16, cfg_small):
         m = make_map("constant", make_space("q:2:1"), 2)
-        _, dens = density_limit(m, unit_grid_16, cfg_small)
+        dens = ks_energy(m, unit_grid_16, cfg_small).ks_density
         assert np.all(dens == 0.0)
 
     def test_nonnegative_everywhere(self, unit_grid_16, cfg_small):
         m = make_map("swirl:0.4", make_space("euclidean:2"), 2)
-        _, dens = density_limit(m, unit_grid_16, cfg_small)
+        dens = ks_energy(m, unit_grid_16, cfg_small).ks_density
         assert np.all(dens >= 0.0)
 
 

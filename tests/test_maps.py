@@ -90,7 +90,7 @@ class TestAnchorDistanceFields:
     def test_constant_map_zero_field(self, grid2):
         space = make_space("euclidean:2")
         m = make_map("constant", space, 2)
-        assert np.all(_field(m, space.dense_point(0), grid2) == 0.0)
+        assert np.all(_field(m, space.dense_points(1)[0], grid2) == 0.0)
 
     def test_max_norm_field_formula(self, grid2):
         m = make_map("identity", make_space("max_norm_plane"), 2)
@@ -135,7 +135,7 @@ class TestFdGradient:
     def test_constant_field_zero_gradient(self, grid2):
         space = make_space("euclidean:2")
         m = make_map("constant", space, 2)
-        grad = _gradient(m, space.dense_point(0), [0.4, 0.6], 1e-4, grid2)[0]
+        grad = _gradient(m, space.dense_points(1)[0], [0.4, 0.6], 1e-4, grid2)[0]
         assert grad == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_max_norm_gradient_off_diagonal(self, grid2):
@@ -157,6 +157,28 @@ class TestFdGradient:
         batch = _gradient(m, [2.0, 2.0], pts, 1e-4, grid2)
         for row, x in zip(batch, pts):
             assert row == pytest.approx(_gradient(m, [2.0, 2.0], x, 1e-4, grid2)[0], abs=1e-14)
+
+    @pytest.mark.parametrize("map_spec, space_spec", [("swirl:0.3", "euclidean:2"), ("qsplit", "q:2:1")])
+    @pytest.mark.parametrize("delta", [2.0**-7, 1e-3])
+    def test_per_row_anchors_match_shared_anchors(self, grid2, map_spec, space_spec, delta):
+        """Per-row anchors (B, A, m) give each row's shared-anchor differences; the gradient divides them by 2 delta.
+
+        Both bit for bit, at a dyadic and a non-dyadic step.
+        """
+        space = make_space(space_spec)
+        m = make_map(map_spec, space, 2)
+        pts = grid2.nodes[[3, 17, 100, 200]]
+        stencil = eval_stencil(m, pts, delta, grid2)
+        anchors = np.stack([space.dense_points(40)[r::4][:9] for r in range(len(pts))])
+        per_row = list(stencil.differences(space, anchors))
+        for r in range(len(pts)):
+            alone = list(stencil.differences(space, anchors[r], rows=slice(r, r + 1)))
+            for got, want in zip(per_row, alone):
+                assert np.array_equal(got[r], want[0])
+        shared = anchors[0]
+        grads = stencil.gradient(space, shared)
+        for i, diff in enumerate(stencil.differences(space, shared)):
+            assert np.array_equal(grads[:, :, i], diff / (2.0 * delta))
 
     def test_stencil_leaving_margin_raises(self):
         g = build_grid([0, 0], [1, 1], [8, 8])

@@ -239,6 +239,13 @@ class TestCli:
             pytest.param(["ks-energy", "--space", "circle", "--map", "winding:abc"], id="winding-text"),
             pytest.param(["ks-energy", "--map", "swirl:x"], id="swirl-text"),
             pytest.param(["ks-energy", "--map", "constant:a,b"], id="constant-text"),
+            pytest.param(["ks-energy", "--space", "circle", "--map", "winding:nan"], id="winding-nan"),
+            pytest.param(["ks-energy", "--space", "circle", "--map", "winding:inf"], id="winding-inf"),
+            pytest.param(["ks-energy", "--map", "swirl:nan"], id="swirl-nan"),
+            pytest.param(["ks-energy", "--map", "constant:nan,0"], id="constant-nan"),
+            pytest.param(["ks-energy", "--map", "constant:1,2,3"], id="constant-wrong-length"),
+            pytest.param(["ks-energy", "--map", "identity:5"], id="identity-argument"),
+            pytest.param(["ks-energy", "--space", "q:2:1", "--map", "qsplit:junk"], id="qsplit-argument"),
             pytest.param(["ks-energy", "--p", "nan"], id="p-nan"),
             pytest.param(["ks-energy", "--p", "inf"], id="p-inf"),
             pytest.param(["ks-energy", "--h0", "nan"], id="h0-nan"),

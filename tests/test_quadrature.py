@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksenergy import ball_nodes, energy_normalization, extrapolate, sphere_nodes, unit_ball_volume
+from ksenergy import ball_nodes, energy_normalization, sphere_nodes, unit_ball_volume
 from ksenergy.errors import ExtrapolationDataError, UnsupportedDimensionError
 from ksenergy.quadrature import extrapolate_fields
 
@@ -40,9 +40,9 @@ class TestSphereRules:
     def test_trig_polynomial_exactness_n2(self):
         rule = sphere_nodes(2, 256)
         nu1, nu2 = rule.nodes[:, 0], rule.nodes[:, 1]
-        assert rule.integrate(nu1**2) == pytest.approx(0.5, abs=1e-14)
-        assert rule.integrate(nu1 * nu2) == pytest.approx(0.0, abs=1e-14)
-        assert rule.integrate(nu1**4) == pytest.approx(3.0 / 8.0, abs=1e-14)
+        assert rule.weights @ nu1**2 == pytest.approx(0.5, abs=1e-14)
+        assert rule.weights @ (nu1 * nu2) == pytest.approx(0.0, abs=1e-14)
+        assert rule.weights @ nu1**4 == pytest.approx(3.0 / 8.0, abs=1e-14)
 
     def test_antipodal_pairing_even_count(self):
         rule = sphere_nodes(2, 64)
@@ -51,14 +51,14 @@ class TestSphereRules:
 
     def test_layered_rule_n3(self):
         rule = sphere_nodes(3, (16, 32))
-        assert rule.integrate(rule.nodes[:, 2] ** 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert rule.integrate(rule.nodes[:, 0] ** 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert rule.weights @ rule.nodes[:, 2] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert rule.weights @ rule.nodes[:, 0] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_qmc_fallback_seeded(self):
         a = sphere_nodes(5, 2048, seed=11)
         b = sphere_nodes(5, 2048, seed=11)
         assert np.array_equal(a.nodes, b.nodes)
-        assert a.integrate(a.nodes[:, 0] ** 2) == pytest.approx(1.0 / 5.0, abs=5e-3)
+        assert a.weights @ a.nodes[:, 0] ** 2 == pytest.approx(1.0 / 5.0, abs=5e-3)
 
     def test_rejects_low_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -77,7 +77,7 @@ class TestBallRules:
 
     def test_radial_moment(self):
         rule = ball_nodes(2)
-        assert rule.integrate(np.sum(rule.nodes**2, axis=1)) == pytest.approx(
+        assert rule.weights @ np.sum(rule.nodes**2, axis=1) == pytest.approx(
             math.pi / 2, abs=1e-12
         )
 
@@ -92,26 +92,32 @@ class TestBallRules:
         rule = ball_nodes(2)
         a = np.array([[1.0, 0.5], [0.0, 2.0]])
         vals = np.linalg.norm(rule.nodes @ a.T, axis=1) ** 2
-        assert rule.integrate(vals) == pytest.approx(np.sum(a * a) * math.pi / 4, rel=1e-13)
+        assert rule.weights @ vals == pytest.approx(np.sum(a * a) * math.pi / 4, rel=1e-13)
+
+
+def _fit_sequence(pairs):
+    """(limit, order, error, fallback) of one (h, value) sequence."""
+    h, v = np.array(pairs, dtype=np.float64).T
+    return tuple(a[0] for a in extrapolate_fields(h, v[:, None]))
 
 
 class TestExtrapolation:
     def test_first_order_sequence(self):
-        res = extrapolate([(0.4, 1.4), (0.2, 1.2), (0.1, 1.1)])
-        assert res.limit == pytest.approx(1.0, abs=1e-12)
-        assert res.order == pytest.approx(1.0, abs=1e-9)
-        assert not res.fallback
+        limit, order, _, fallback = _fit_sequence([(0.4, 1.4), (0.2, 1.2), (0.1, 1.1)])
+        assert limit == pytest.approx(1.0, abs=1e-12)
+        assert order == pytest.approx(1.0, abs=1e-9)
+        assert not fallback
 
     def test_second_order_sequence(self):
-        res = extrapolate([(0.4, 2 + 3 * 0.16), (0.2, 2 + 3 * 0.04), (0.1, 2 + 3 * 0.01)])
-        assert res.limit == pytest.approx(2.0, abs=1e-11)
-        assert res.order == pytest.approx(2.0, abs=1e-9)
+        limit, order, _, _ = _fit_sequence([(0.4, 2 + 3 * 0.16), (0.2, 2 + 3 * 0.04), (0.1, 2 + 3 * 0.01)])
+        assert limit == pytest.approx(2.0, abs=1e-11)
+        assert order == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_sequence(self):
-        res = extrapolate([(0.4, 5.0), (0.2, 5.0), (0.1, 5.0)])
-        assert res.limit == 5.0
-        assert res.order == 0.0
-        assert res.error == 0.0
+        limit, order, error, _ = _fit_sequence([(0.4, 5.0), (0.2, 5.0), (0.1, 5.0)])
+        assert limit == 5.0
+        assert order == 0.0
+        assert error == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -122,17 +128,17 @@ class TestExtrapolation:
     def test_exact_on_synthetic_geometric(self, limit, coeff, order):
         hs = [0.4, 0.2, 0.1, 0.05]
         pairs = [(h, limit + coeff * h**order) for h in hs]
-        res = extrapolate(pairs)
-        assert res.limit == pytest.approx(limit, abs=1e-8)
-        assert res.order == pytest.approx(order, abs=1e-6)
+        fit_limit, fit_order, _, _ = _fit_sequence(pairs)
+        assert fit_limit == pytest.approx(limit, abs=1e-8)
+        assert fit_order == pytest.approx(order, abs=1e-6)
 
     def test_requires_three_pairs(self):
         with pytest.raises(ExtrapolationDataError):
-            extrapolate([(0.2, 1.0), (0.1, 1.0)])
+            _fit_sequence([(0.2, 1.0), (0.1, 1.0)])
 
     def test_requires_decreasing_h(self):
         with pytest.raises(ExtrapolationDataError):
-            extrapolate([(0.1, 1.0), (0.2, 1.1), (0.05, 0.9)])
+            _fit_sequence([(0.1, 1.0), (0.2, 1.1), (0.05, 0.9)])
 
     def test_vectorized_matches_scalar(self):
         h = np.array([0.4, 0.2, 0.1])

@@ -303,7 +303,7 @@ def test_distance_leaves_operands_unchanged(spec):
 
 class TestDenseEnumeration:
     def test_euclidean1_starts_at_origin(self):
-        assert make_space("euclidean:1").dense_point(0) == pytest.approx([0.0])
+        assert make_space("euclidean:1").dense_points(1)[0] == pytest.approx([0.0])
 
     def test_circle_first_four(self):
         pts = make_space("circle").dense_points(4).ravel()
