@@ -564,7 +564,10 @@ def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
 
     lhs = integral over the h-erosion of d^p(u(x + h v), u(x));
     rhs = h^p * integral over the box of |d_v u|^p. The lhs never exceeds the
-    rhs (up to INCREMENT_TOLERANCE).
+    rhs (up to INCREMENT_TOLERANCE). `_field_cache` (a dict) keeps the
+    directional field of each (map, grid, cfg, direction) between calls; the
+    first three are keyed by identity and kept alive in the entry, so a key
+    never outlives its objects.
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.linalg.norm(v) <= 1.0 + 1e-12:
@@ -582,12 +585,12 @@ def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
         rhs = 0.0
     else:
         nu = v / vnorm
-        key = tuple(np.round(nu, 15))
+        key = (id(metric_map), id(grid), id(cfg), tuple(np.round(nu, 15)))
         if _field_cache is not None and key in _field_cache:
-            field = _field_cache[key]
+            field = _field_cache[key][-1]
         else:
             field = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid, prefixes=(cfg.dense_count,))
             if _field_cache is not None:
-                _field_cache[key] = field
+                _field_cache[key] = (metric_map, grid, cfg, field)
         rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(field.density(nu[None], cfg.p))
     return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs))

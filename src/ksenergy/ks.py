@@ -13,7 +13,13 @@ The ball average runs per 512-row chunk of `run_chunked`, in tiles of
 `row_block` rows x `node_chunk` ball nodes (128 x 128), so a tile's ball
 points, map values and powered distances stay in a 2 MB L2. Each tile's
 ball points sit in one coordinate-major buffer, one contiguous plane per
-coordinate, and the map evaluators and distance kernels read those planes.
+coordinate. Plane c is x_c + h v_c, filled by one batched rank-2 product
+[x_c, 1] @ [1; h v_c] (`spaces._outer_sum`): the products are by 1, so the
+add is the only rounding and the planes are those of the broadcast sum bit
+for bit at any BLAS thread count (but for (-0) + (-0), and no grid node is
+-0). u(x) is expanded once per row block into a second coordinate-major
+buffer, so the distance kernels subtract whole planes, and the map
+evaluators (see maps.py) write their values as planes too.
 The target's `distance(a, b, p)` returns d**p directly (see spaces.py), and
 each tile ends in `part += d**p @ w`. Every row sums the same batch dot
 products in the same order as without tiles. Each is a BLAS dgemv, and
@@ -33,9 +39,10 @@ import numpy as np
 from .errors import ConfigError, ExtrapolationWarning, NonFiniteResultError
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import energy_normalization, extrapolate_fields
+from .spaces import _sum_left, _sum_right
 
 
-# one tile: its ball points, map values and distances (3 x 128 KB on a 2-d target) stay in L2
+# one tile: its ball points, u(x) planes, map values and distances (under 1 MB on a 2-d target) stay in L2
 row_block = 128  # rows
 node_chunk = 128  # ball nodes
 
@@ -47,26 +54,30 @@ def approx_density_field(metric_map, points, h, cfg):
     c_np = energy_normalization(n, cfg.p)
     base = metric_map.eval(points)
     hv = h * rule.nodes
+    # [1; h v_c] per coordinate: with [x_c, 1] its product is the plane x_c + h v_c (spaces._outer_sum)
+    right = _sum_right(hv.T)
     batches = range(0, hv.shape[0], node_chunk)
 
     def work(start, stop):
         acc = np.zeros(stop - start)
-        # coordinate-major ball points: every x[..., c] slice is contiguous
-        buf = np.empty((n, min(row_block, stop - start), min(node_chunk, hv.shape[0])))
+        # coordinate-major ball points and u(x): every [..., c] slice is one contiguous plane
+        rows, cols = min(row_block, stop - start), min(node_chunk, hv.shape[0])
+        buf = np.empty((n, rows, cols))
+        centres = np.empty((base.shape[1], rows, cols))
+        ball, base_planes = np.moveaxis(buf, 0, -1), np.moveaxis(centres, 0, -1)
         # errstate is per thread; overflow shows up as the NonFiniteResultError below
         with np.errstate(all="ignore"):
             for r0 in range(start, stop, row_block):
                 r1 = min(r0 + row_block, stop)
-                sub = points[r0:r1]
-                base_sub = base[r0:r1, None, :]
+                left = _sum_left(points[r0:r1].T)
+                np.copyto(centres[:, : r1 - r0], base[r0:r1].T[:, :, None])
                 part = acc[r0 - start : r1 - start]
                 for b0 in batches:
                     b1 = min(b0 + node_chunk, hv.shape[0])
-                    tile = buf[:, : r1 - r0, : b1 - b0]
-                    for c in range(n):
-                        np.add(sub[:, c, None], hv[None, b0:b1, c], out=tile[c])
-                    shifted = metric_map.eval(np.moveaxis(tile, 0, -1))
-                    part += metric_map.target.distance(shifted, base_sub, cfg.p) @ rule.weights[b0:b1]
+                    np.matmul(left, right[:, :, b0:b1], out=buf[:, : r1 - r0, : b1 - b0])
+                    shifted = metric_map.eval(ball[: r1 - r0, : b1 - b0])
+                    d = metric_map.target.distance(shifted, base_planes[: r1 - r0, : b1 - b0], cfg.p)
+                    part += d @ rule.weights[b0:b1]
         return acc
 
     parts = run_chunked(work, points.shape[0], cfg.workers)

@@ -6,7 +6,10 @@ stencil points) always come from the evaluator itself. That keeps
 interpolation error out of both energy pipelines.
 
 Evaluators are vectorized: they accept arrays shaped (..., n) and return
-(..., rep_dim).
+(..., rep_dim). `swirl` and `qsplit` write each output coordinate into its
+own contiguous plane (an (rep_dim, ...) buffer moved to the last axis), so
+the distance kernels read whole planes; `identity` keeps its input's
+layout, and `linear` is the BLAS product x @ A.T.
 """
 
 import math
@@ -125,6 +128,11 @@ def _spec_floats(spec, text, count=None):
     return values
 
 
+def _coordinate_planes(x, k):
+    """An empty x.shape[:-1] + (k,) output whose out[..., c] are contiguous planes, one per coordinate."""
+    return np.moveaxis(np.empty((k,) + x.shape[:-1]), 0, -1)
+
+
 def make_map(spec, space, domain_dim):
     """Build a catalog map onto the given target space.
 
@@ -190,8 +198,10 @@ def make_map(spec, space, domain_dim):
             raise ConfigError("qsplit is defined on 2-d domains")
 
         def qsplit_eval(x):
-            sheet = 1.0 + 0.25 * x[..., 0] + 0.5 * x[..., 1]
-            return np.stack([sheet, -sheet], axis=-1)
+            out = _coordinate_planes(x, 2)
+            sheet = np.add(1.0 + 0.25 * x[..., 0], 0.5 * x[..., 1], out=out[..., 0])
+            np.negative(sheet, out=out[..., 1])
+            return out
 
         # sheets +-sigma with sigma = 1 + x1/4 + x2/2; grad sigma = (1/4, 1/2)
         return MetricMap(space, qsplit_eval, "qsplit")
@@ -204,9 +214,10 @@ def make_map(spec, space, domain_dim):
         a = _spec_floats(spec, arg, 1)[0] if arg is not None else 0.3
 
         def swirl_eval(x, a=a):
-            return np.stack(
-                [x[..., 0] + a * np.sin(x[..., 1]), x[..., 1] + a * np.cos(x[..., 0])], axis=-1
-            )
+            out = _coordinate_planes(x, 2)
+            np.add(x[..., 0], a * np.sin(x[..., 1]), out=out[..., 0])
+            np.add(x[..., 1], a * np.cos(x[..., 0]), out=out[..., 1])
+            return out
 
         return MetricMap(space, swirl_eval, f"swirl:{a!r}")
 

@@ -21,11 +21,16 @@ whole inner-loop call per output element. Their results must stay
 bit-identical to the plain reductions they replace (tests/test_spaces.py
 pins this): ``np.linalg.norm`` below 8 coordinates, where numpy sums
 sequentially; the max of absolute differences; and, per pairing, the
-sequential sum of the Q*m squared gaps. The KS route
-(``ks.approx_density_field``) hands them its ball points coordinate-major:
-each ``x[..., c]`` is one contiguous plane, filled from the same operands as
-the broadcast sum ``x + h v``, so the slices the kernels read are contiguous
-and the values are the same.
+sequential sum of the Q*m squared gaps. Every coordinate difference goes
+through ``_difference``. The prefix scan's pattern, rows (N, 1, m) against
+anchors shared by every row, is an outer difference, which it takes as the
+rank-2 BLAS product ``_outer_sum(a_c, -b_c)`` = [a_c, 1] @ [1; -b_c]: both
+products are by 1 and negation is exact, so the add is the only rounding
+and the result is a - b bit for bit at any BLAS thread count, except that
+(-0) - (+0) comes out +0, a sign no distance sees. Every other pair of
+shapes subtracts as is. The KS route (``ks.approx_density_field``) hands
+the kernels its ball points and u(x) as coordinate-major planes of one
+shape, so each difference is a whole-plane subtraction.
 
 ``distance(a, b, p)`` returns d**p, the KS integrand, through one helper,
 ``_power``: d*sqrt(d), d*d and d*d*d at p = 1.5, 2 and 3, within 1.29 ulp
@@ -106,6 +111,46 @@ def _single_points_as_rows(kernel):
     return distance
 
 
+def _outer_sum(a, b, out=None):
+    """The (N, A) outer sum a_i + b_j of (N,) and (A,) values, as the rank-2 product [a, 1] @ [1; b].
+
+    Both products are by 1, so they are exact and the add is the only
+    rounding: the result is np.add.outer(a, b) bit for bit at any BLAS
+    kernel or thread count, with one exception, (-0) + (-0) comes out +0.
+    No grid node is -0.0, and no distance sees the sign of a zero. An outer
+    broadcast runs numpy's inner loop once per row and takes about three
+    times as long per 128 x 128 plane.
+    """
+    return np.matmul(_sum_left(a), _sum_right(b), out=out)
+
+
+def _sum_left(a):
+    """[a, 1]: the (..., N, 2) left factor of `_outer_sum`."""
+    f = np.ones(a.shape + (2,))
+    f[..., 0] = a
+    return f
+
+
+def _sum_right(b):
+    """[1; b]: the (..., 2, A) right factor of `_outer_sum`."""
+    f = np.ones(b.shape[:-1] + (2,) + b.shape[-1:])
+    f[..., 1, :] = b
+    return f
+
+
+def _difference(a, b):
+    """a - b of one coordinate's values, bit for bit up to the sign of a zero.
+
+    Rows (N, 1) against anchors shared by every row, (A,) or (1, A), the
+    prefix scan's pattern, give the (N, A) outer difference as
+    `_outer_sum(a, -b)` (negation is exact). Every other pair of shapes
+    (KS planes, per-row anchors, row pairs, single points) subtracts as is.
+    """
+    if a.ndim == 2 and a.shape[1] == 1 and b.ndim in (1, 2) and b.shape[:-1] in ((), (1,)):
+        return _outer_sum(a[:, 0], -b.reshape(-1))
+    return a - b
+
+
 def _power(d, p):
     """d**p for d >= 0, written into d where it can; 0, inf and NaN propagate.
 
@@ -181,10 +226,10 @@ class EuclideanSpace(MetricSpace):
 
     @_single_points_as_rows
     def distance(self, a, b, p):
-        d = a[..., 0] - b[..., 0]
+        d = _difference(a[..., 0], b[..., 0])
         sq = d * d
         for c in range(1, self.m):
-            d = a[..., c] - b[..., c]
+            d = _difference(a[..., c], b[..., c])
             sq += d * d
         return sq if p == 2 else _power(np.sqrt(sq, out=sq), p)
 
@@ -213,7 +258,8 @@ class MaxNormPlane(EuclideanSpace):
 
     @_single_points_as_rows
     def distance(self, a, b, p):
-        return _power(np.maximum(np.abs(a[..., 0] - b[..., 0]), np.abs(a[..., 1] - b[..., 1])), p)
+        d0 = np.abs(_difference(a[..., 0], b[..., 0]))
+        return _power(np.maximum(d0, np.abs(_difference(a[..., 1], b[..., 1])), out=d0), p)
 
 
 class CircleSpace(MetricSpace):
@@ -228,7 +274,7 @@ class CircleSpace(MetricSpace):
 
     @_single_points_as_rows
     def distance(self, a, b, p):
-        d = np.abs(a - b)[..., 0]
+        d = np.abs(_difference(a[..., 0], b[..., 0]))
         np.remainder(d, TAU, out=d, where=d >= TAU)
         r = TAU - d
         return _power(np.minimum(d, r, out=r), p)
@@ -280,7 +326,7 @@ class QPointsSpace(MetricSpace):
         # each computed once for every pairing that reads it
         sq = {}
         for i, j, c in itertools.product(range(Q), range(Q), range(m)):
-            d = a[..., i * m + c] - b[..., j * m + c]
+            d = _difference(a[..., i * m + c], b[..., j * m + c])
             d *= d
             sq[i, j, c] = d
         # each block pair (i, j) sits in (Q - 1)! pairings: up to Q = 2 a

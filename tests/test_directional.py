@@ -709,6 +709,20 @@ class TestIncrementBound:
         with pytest.raises(ConfigError):
             check_increment_bound(m, unit_grid_16, np.array([1.0, 0.0]), math.nan, cfg_small)
 
+    def test_shared_field_cache_keeps_maps_apart(self, unit_grid_16):
+        """One cache passed to two maps hands each map its own field: the same check as with no cache."""
+        cfg = EnergyConfig(dense_count=64, sphere_order=32, ball_order=(4, 16), h_count=3)
+        space = make_space("euclidean:2")
+        v = np.array([0.0, 1.0])
+        cache = {}
+        check_increment_bound(make_map("identity", space, 2), unit_grid_16, v, 0.05, cfg, _field_cache=cache)
+        linear = make_map("linear:1,0;0,2", space, 2)
+        shared = check_increment_bound(linear, unit_grid_16, v, 0.05, cfg, _field_cache=cache)
+        assert shared == check_increment_bound(linear, unit_grid_16, v, 0.05, cfg)
+        assert shared.holds and len(cache) == 2
+        assert check_increment_bound(linear, unit_grid_16, v, 0.025, cfg, _field_cache=cache).holds
+        assert len(cache) == 2
+
 
 def test_frame_sum_energy(unit_grid_16, cfg_small):
     m = make_map("identity", make_space("max_norm_plane"), 2)

@@ -58,6 +58,30 @@ class TestEval:
         out = m.eval(np.zeros((5, 3, 2)))
         assert out.shape == (5, 3, 2)
 
+    @pytest.mark.parametrize("map_spec, space_spec", [("swirl:0.3", "euclidean:2"), ("qsplit", "q:2:1")])
+    def test_coordinate_planes_equal_stacked_formulas(self, map_spec, space_spec):
+        """swirl and qsplit equal their np.stack formulas bit for bit, with one contiguous plane per output coordinate.
+
+        Inputs: a single point, (N, 2) rows, and (R, B, 2) ball points
+        C-ordered and coordinate-major (the KS tile layout).
+        """
+        m = make_map(map_spec, make_space(space_spec), 2)
+
+        def stacked(x):
+            if map_spec == "qsplit":
+                sheet = 1.0 + 0.25 * x[..., 0] + 0.5 * x[..., 1]
+                return np.stack([sheet, -sheet], axis=-1)
+            return np.stack([x[..., 0] + 0.3 * np.sin(x[..., 1]), x[..., 1] + 0.3 * np.cos(x[..., 0])], axis=-1)
+
+        planes = np.random.default_rng(3).uniform(-4.0, 4.0, size=(2, 37, 128))
+        ball = np.moveaxis(planes, 0, -1)
+        for x in (planes[:, 0, 0], np.ascontiguousarray(ball[0]), ball[0], np.ascontiguousarray(ball), ball):
+            got = m.eval(x)
+            assert got.shape == x.shape[:-1] + (2,)
+            assert np.array_equal(got, stacked(x))
+            if x.ndim == 3:
+                assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous
+
     def test_evaluator_failure_carries_point(self):
         def boom(x):
             raise RuntimeError("nope")

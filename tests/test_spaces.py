@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksenergy import make_space, verify_metric_axioms
 from ksenergy.errors import ConfigError, InvalidPointError
-from ksenergy.spaces import _power
+from ksenergy.spaces import _outer_sum, _power
 
 TAU = 2 * math.pi
 
@@ -89,12 +89,26 @@ def _reference_distance(spec, a, b):
     return _matching_reference(int(Q), int(m), a, b)
 
 
+# signed zeros, non-finite values and both ends of the exponent range
+KERNEL_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300]
+
+
 def _call_operands(shape_kind, rep_dim, seed):
-    """Operands in the two layouts the package uses, over many magnitudes."""
+    """Operands in the two layouts the package uses, over many magnitudes.
+
+    The broadcast layout, where the kernels take the outer difference as a
+    BLAS product (`spaces._outer_sum`), also pairs every KERNEL_SPECIALS
+    entry of a with every one of b, in each coordinate (rotated per
+    coordinate, so that a row mixes them).
+    """
     rng = np.random.default_rng(seed)
     if shape_kind == "broadcast":  # prefix scan: (N, 1, m) x (1, B, m)
         a = rng.normal(size=(96, 1, rep_dim)) * 10.0 ** rng.uniform(-6, 6, size=(96, 1, 1))
         b = rng.normal(size=(1, 40, rep_dim))
+        k = len(KERNEL_SPECIALS)
+        for c in range(rep_dim):
+            a[:k, 0, c] = np.roll(KERNEL_SPECIALS, c)
+            b[0, :k, c] = np.roll(KERNEL_SPECIALS, -c)
     else:  # refinement rows: (R, m) x (R, m)
         a = rng.normal(size=(4000, rep_dim)) * 10.0 ** rng.uniform(-6, 6, size=(4000, 1))
         b = rng.normal(size=(4000, rep_dim))
@@ -120,6 +134,48 @@ def _circle_operands(shape_kind, seed):
     return a, b
 
 
+# every class of float64 value: signed zeros, subnormals, both ends of the range, non-finite values
+SUM_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def _summands(size, rng):
+    """`size` values over 1e-300..1e300 and the subnormals, led by as many SUM_SPECIALS as fit."""
+    x = rng.normal(size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
+    x[size // 2 :] *= rng.choice([1.0, 1e-20], size=size - size // 2)  # some are subnormal
+    k = min(size, len(SUM_SPECIALS))
+    x[:k] = rng.permutation(SUM_SPECIALS)[:k]
+    return x
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (512, 128), (37, 5), (1, 128), (128, 1)])
+def test_outer_sum_is_add_outer_bit_for_bit(shape):
+    """`_outer_sum` against np.add.outer: the same bits, NaN for NaN, except (-0) + (-0), which is +0.
+
+    Also into a non-contiguous `out`: a partial tile of a larger buffer
+    (BLAS writes it with a leading dimension) and a strided view (numpy
+    goes without BLAS or through a copy).
+    """
+    rng = np.random.default_rng(sum(shape))
+    a, b = _summands(shape[0], rng), _summands(shape[1], rng)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.add.outer(a, b)
+        tile = np.empty((shape[0] + 3, shape[1] + 5))[: shape[0], : shape[1]]
+        strided = np.empty((shape[0], 2 * shape[1]))[:, ::2]
+        results = [_outer_sum(a, b), _outer_sum(a, b, out=tile), _outer_sum(a, b, out=strided)]
+    negative_zeros = np.signbit(a)[:, None] & np.signbit(b)[None, :] & (want == 0.0)
+    nan = np.isnan(want)
+    for got in results:
+        assert got.shape == shape
+        assert np.array_equal(np.isnan(got), nan)
+        same = ~nan & ~negative_zeros
+        assert np.array_equal(got.view(np.uint64)[same], want.view(np.uint64)[same])
+        assert np.all(got[negative_zeros] == 0.0) and not np.any(np.signbit(got[negative_zeros]))
+    assert results[1] is tile and results[2] is strided
+    if min(shape) >= len(SUM_SPECIALS):
+        assert np.any(negative_zeros) and np.any(nan)
+
+
 class TestKernelExactness:
     """The coordinate-slice kernels against the plain reductions they replaced."""
 
@@ -142,7 +198,9 @@ class TestKernelExactness:
         space = make_space(spec)
         for seed in range(3):
             a, b = _call_operands(shape_kind, space.rep_dim, seed)
-            assert np.array_equal(space.distance(a, b), _reference_distance(spec, a, b))
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = space.distance(a, b), _reference_distance(spec, a, b)
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_q_points_2_2(self):
         """Bit-identical on rows; within rounding on the broadcast layout.
@@ -158,7 +216,9 @@ class TestKernelExactness:
             a, b = _call_operands("rows", 4, seed)
             assert np.array_equal(space.distance(a, b), _reference_distance("q:2:2", a, b))
             a, b = _call_operands("broadcast", 4, seed)
-            np.testing.assert_allclose(space.distance(a, b), _reference_distance("q:2:2", a, b), rtol=1e-15, atol=0)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = space.distance(a, b), _reference_distance("q:2:2", a, b)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("shape_kind", ["broadcast", "rows"])
     @pytest.mark.parametrize("spec", ["euclidean:8", "q:3:1"])
@@ -166,7 +226,9 @@ class TestKernelExactness:
         """At 8+ terms numpy sums pairwise, so euclidean:8 may differ in rounding."""
         space = make_space(spec)
         a, b = _call_operands(shape_kind, space.rep_dim, 0)
-        np.testing.assert_allclose(space.distance(a, b), _reference_distance(spec, a, b), rtol=1e-12, atol=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = space.distance(a, b), _reference_distance(spec, a, b)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _sequential_kernel(spec, a, b):
@@ -219,13 +281,14 @@ def test_distance_power_is_the_kernels_power(spec, shape_kind):
             a, b = _ks_operands(space.rep_dim, seed)
         else:
             a, b = _call_operands(shape_kind, space.rep_dim, seed)
-        sq, d = _sequential_kernel(spec, a, b)
-        if d is None:
-            d = np.sqrt(sq)
-        assert np.array_equal(space.distance(a, b), d)
-        for p in POWERS:
-            want = sq if p == 2 and sq is not None else _power(d.copy(), p)
-            assert np.array_equal(space.distance(a, b, p), want), p
+        with np.errstate(invalid="ignore", over="ignore"):
+            sq, d = _sequential_kernel(spec, a, b)
+            if d is None:
+                d = np.sqrt(sq)
+            assert np.array_equal(space.distance(a, b), d, equal_nan=True)
+            for p in POWERS:
+                want = sq if p == 2 and sq is not None else _power(d.copy(), p)
+                assert np.array_equal(space.distance(a, b, p), want, equal_nan=True), p
 
 
 LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
@@ -293,8 +356,9 @@ def test_distance_leaves_operands_unchanged(spec):
     for shape_kind in ("broadcast", "rows"):
         a, b = _call_operands(shape_kind, space.rep_dim, 0)
         a0, b0 = a.copy(), b.copy()
-        space.distance(a, b)
-        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            space.distance(a, b)
+        assert np.array_equal(a, a0, equal_nan=True) and np.array_equal(b, b0, equal_nan=True)
     a, b = a[0], b[0]
     got = space.distance(a, b)
     assert np.ndim(got) == 0 and got == space.distance(a[None], b[None])[0]
