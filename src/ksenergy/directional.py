@@ -7,31 +7,45 @@ c_{n,p} times the ball integral via |d_v u| = |v| |d_{v/|v|} u|.
 
 The sup over D is realized in two layers, both deterministic:
 
-* a prefix scan over the first K enumerated dense points (anchors within
+* seeds from the metric differential. For a map into a normed space the
+  directional modulus is the norm of the metric differential, |J nu|
+  (Kirchheim 1994; Ambrosio-Kirchheim 2000), reached at a few members of D
+  that J determines; J comes from the stencil. The target chooses them
+  (`spaces.MetricSpace.seeds`), snapped to the dyadic lattice:
+  - Euclidean: the ray u(x) - R J nu / |J nu| at `REFINE_RADIUS` and
+    `POLISH_RADIUS`; every row is trusted;
+  - max-norm plane: u(x) -+ R e_i at both radii, shared by every direction
+    of a node; every row is trusted;
+  - circle: u(x) -+ pi/2, trusted while the stencil stays less than pi/2
+    (less the snap's offset) from u(x);
+  - `q:Q:m`: the ray on the Q*m-vector at R = min(`POLISH_RADIUS`, sep/4),
+    trusted where the sheets' separation sep exceeds 32 delta max_k |J_k|
+    and 32 lattice quanta.
+  A trusted row's value is its seed's, the same at every reported prefix
+  length, so the 2K truncation probe measures only scanned rows;
+* a prefix scan over the first K enumerated dense points, for the rows
+  without a trusted seed, for `EnergyConfig(refine=False)` runs and for
+  the K sweep, whose rows are prefix-only by definition. Anchors within
   `ANCHOR_EXCLUSION * fd_step` of u(x) in the target metric are skipped:
-  central differences degrade as the composed field's curvature ~ 1/distance
-  blows up, and in all built-in targets remote anchors realize the sup).
-  The scan keeps one running max over the enumeration, in anchor batches
-  that end at every multiple of 128 and at every requested prefix length,
-  and copies it between batches at each such length: the 2K truncation
-  probe and the K ladder of a convergence sweep come from the same pass,
-  and each copy equals a separate scan of that prefix. A repeated gradient
-  cannot raise M, so each node scans only its distinct gradients of each
-  batch; dedup is per batch and conservative (it may keep a repeat, never
-  drops a first occurrence), and since a max does not depend on order the
-  result is exactly that of a scan anchor by anchor;
-* on a target with a smooth norm (Euclidean), one seeded ray per (node,
-  direction) row: the sup over far anchors is reached on the ray
-  u(x) - radius * J nu / |J nu| (Kirchheim 1994), and J comes from the
-  stencil. Its anchors are snapped to the dyadic lattice, at
-  `REFINE_RADIUS` and at `POLISH_RADIUS` where the stencil error is
-  negligible. Max-norm, circle and Q-point targets keep the scan alone.
+  central differences degrade as the composed field's curvature ~
+  1/distance blows up, and in all built-in targets remote anchors realize
+  the sup. The scan keeps one running max over the enumeration, in anchor
+  batches that end at every multiple of 128 and at every requested prefix
+  length, and copies it between batches at each such length: the 2K probe
+  and the K ladder of a convergence sweep come from the same pass, and each
+  copy equals a separate scan of that prefix. A repeated gradient cannot
+  raise M, so each node scans only its distinct gradients of each batch;
+  dedup is per batch and conservative (it may keep a repeat, never drops a
+  first occurrence), and since a max does not depend on order the result is
+  exactly that of a scan anchor by anchor. A scanned row's values equal
+  those of a refine-off field bit for bit.
 
-Both layers only ever evaluate members of the dense set, and values are
-monotone in K by construction. They are lower bounds of the true supremum
-only as far as no stencil straddles a kink of x -> d(u(x), xi): observed,
-not proved, when the map, grid and fd step are all dyadic (README
-"Numerical notes" gives a non-dyadic overshoot; ROADMAP item 3).
+Both layers only ever evaluate members of the dense set, and scan values
+are monotone in K by construction. They are lower bounds of the true
+supremum only as far as no stencil straddles a kink of x -> d(u(x), xi):
+the seeds' trust rules keep their own anchors' kinks off the stencil, while
+the scan overshoots on the max-norm plane and the circle (README
+"Numerical notes").
 
 The field holds one column per class of directions equal up to sign (g is
 even in nu), and every energy reads it the same way, by direction: the
@@ -40,9 +54,10 @@ directions, the frame sum over e_1..e_n, and each K or sphere-order row of
 a convergence sweep. Each energy's density is reduced per node chunk in the
 worker threads (`DirectionalField.density`), never from a full (nodes,
 directions) table, but with that table's operations, order and layout, so
-bit for bit the same. A column's value can still differ by 1 ulp with its
-position in the direction table, since the scan's projection matmul rounds
-by that layout.
+bit for bit the same. A direction's value can still differ by 1 ulp with
+the other directions in the field: `_reduce_directions` keeps a class's
+first occurrence as its representative, and two members of a class can
+differ by 1 ulp.
 """
 
 import math
@@ -51,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ANCHOR_EXCLUSION, POLISH_RADIUS, REFINE_RADIUS, TRUNCATION_RTOL
+from .config import ANCHOR_EXCLUSION, TRUNCATION_RTOL
 from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
 from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
@@ -105,10 +120,11 @@ class DirectionalField:
     """Directional moduli g_nu(x) on a point set, plus the minimal gradient."""
 
     dirs: np.ndarray  # (D, n) unit directions
-    reduced: dict  # prefix length -> (N, R) g over the reduced directions (+ seeded rays)
+    reduced: dict  # prefix length -> (N, R) g over the reduced directions; one shared array if all rows are seeded
     gmin: np.ndarray  # (N,)
     dense_count: int
     workers: int = 1  # threads that reduce its densities (cfg.workers of the run)
+    seeded_rows: int = 0  # rows whose values are their seeds; the rest come from the prefix scan
 
     def columns(self, directions, k=None):
         """(N, len(directions)) g_nu at prefix k (default K), looked up by direction."""
@@ -191,8 +207,8 @@ def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
     the default fd step (`EnergyConfig.resolved_fd_step`). `prefixes` are
     the anchor-prefix lengths to report; it must contain K = cfg.dense_count
     and defaults to (K, 2K) when cfg.check_truncation is set (the
-    under-truncation probe) and to (K,) otherwise. Every reported length
-    gets the same seeded rays.
+    under-truncation probe) and to (K,) otherwise. A row with a trusted
+    seed holds its seed's values at every reported length.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -222,19 +238,27 @@ def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
 
     parts = run_chunked(work, points.shape[0], cfg.workers)
     if parts:
-        # pop: each chunk's copy of a prefix is freed as soon as it is joined
         snaps = [p[0] for p in parts]
-        reduced = {k: np.concatenate([s.pop(0) for s in snaps], axis=0) for k in prefixes}
+        # a prefix whose every chunk holds the previous prefix's array (all rows seeded) shares its table
+        same = [j > 0 and all(s[j] is s[j - 1] for s in snaps) for j in range(len(prefixes))]
+        reduced = {}
+        for j, k in enumerate(prefixes):
+            # pop: each chunk's copy of a prefix is freed as soon as it is joined
+            blocks = [s.pop(0) for s in snaps]
+            reduced[k] = reduced[prefixes[j - 1]] if same[j] else np.concatenate(blocks, axis=0)
         gmin = np.concatenate([p[1] for p in parts], axis=0)
+        seeded = sum(p[2] for p in parts)
     else:
         reduced = {k: np.zeros((0, reps.shape[0])) for k in prefixes}
         gmin = np.zeros(0)
+        seeded = 0
     # gmin is the running max over every reported value (NaN propagates), so
     # one check on it catches a non-finite seeded value anywhere
     if not np.all(np.isfinite(gmin)):
         raise _non_finite(metric_map)
 
-    return DirectionalField(dirs=dirs, reduced=reduced, gmin=gmin, dense_count=K, workers=cfg.workers)
+    return DirectionalField(dirs=dirs, reduced=reduced, gmin=gmin, dense_count=K, workers=cfg.workers,
+                            seeded_rows=seeded)
 
 
 def _non_finite(metric_map):
@@ -245,24 +269,58 @@ def _non_finite(metric_map):
 
 
 def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
-    """Prefix scan + seeded rays for one block of points.
+    """Seeds, then the prefix scan on the rows without a trusted seed, for one block of points.
+
+    `grid` bounds the stencil, as in `maps.eval_stencil`. With cfg.refine,
+    `_refine_chunk` seeds every row first; a trusted row keeps its seed at
+    every prefix length, and a chunk whose rows are all trusted returns one
+    array for every prefix. The other rows are scanned (`_scan`) exactly as
+    with refine off, so they equal a refine-off field bit for bit.
+    Returns ([g at each prefix length], gmin, number of seeded rows).
+    """
+    space = metric_map.target
+    stencil = eval_stencil(metric_map, pts, delta, grid)
+    seeded = _refine_chunk(space, stencil, reps, cfg)
+    if seeded is None:
+        snaps, gmin = _scan(metric_map, stencil, reps, anchors, prefixes, delta, cfg)
+        count = 0
+    else:
+        g, gmin, trusted = seeded
+        rest = np.flatnonzero(~trusted)
+        snaps = [g] * len(prefixes)
+        if rest.size:
+            # one row alone would be projected by a BLAS gemv, which rounds
+            # unlike the gemm of a scan over many rows: scan a companion too
+            scan = rest if rest.size > 1 or len(trusted) == 1 else np.union1d(rest, np.flatnonzero(trusted)[:1])
+            at = np.searchsorted(scan, rest)
+            scanned, gmin_scan = _scan(metric_map, stencil.take(scan), reps, anchors, prefixes, delta, cfg)
+            snaps = [g.copy() for _ in prefixes]
+            for s, t in zip(snaps, scanned):
+                s[rest] = t[at]
+            gmin[rest] = gmin_scan[at]
+        count = int(np.count_nonzero(trusted))
+    for j, s in enumerate(snaps):
+        if j == 0 or s is not snaps[j - 1]:
+            np.maximum(gmin, s.max(axis=1), out=gmin)
+    return snaps, gmin, count
+
+
+def _scan(metric_map, stencil, reps, anchors, prefixes, delta, cfg):
+    """The prefix scan of one block of stencil rows: ([M at each prefix length], gmin over the K prefix).
 
     One running max over the anchor enumeration. Anchor batches end at every
     multiple of 128 and at every length in `prefixes`, so each prefix is a
     copy of M between batches; gmin's scan covers the K = cfg.dense_count
-    prefix. `grid` bounds the stencil, as in `maps.eval_stencil`.
+    prefix.
 
     Distinct-gradient rule: a repeated gradient cannot raise M or gmin, so
     each batch is scanned over its slots (`_distinct_slots`): per node, the
-    batch's distinct gradients. The seeded rays (`_refine_chunk`) then raise
-    every prefix's values.
-    Returns ([g at each prefix length], gmin).
+    batch's distinct gradients.
     """
     space = metric_map.target
-    N = pts.shape[0]
+    N = stencil.u0.shape[0]
     R = reps.shape[0]
     K = cfg.dense_count
-    stencil = eval_stencil(metric_map, pts, delta, grid)
     r_excl = ANCHOR_EXCLUSION * delta
 
     M = np.zeros((N, R))
@@ -292,14 +350,6 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
         if b1 in prefixes[:-1]:
             snaps.append(M.copy())
     snaps.append(M)  # the scan ends at the longest prefix
-
-    seeded = _refine_chunk(space, stencil, reps, cfg)
-    if seeded is not None:
-        np.maximum(gmin, seeded[1], out=gmin)
-        for s in snaps:
-            np.maximum(s, seeded[0], out=s)
-    for s in snaps:
-        np.maximum(gmin, s.max(axis=1), out=gmin)
     return snaps, gmin
 
 
@@ -385,45 +435,33 @@ def _distinct_slots(grads, norms):
 
 
 def _refine_chunk(space, stencil, reps, cfg):
-    """The seeded rays of one block of points: (g (N, R), gmin (N,)), or None.
+    """The seeds of one block of points: (g (N, R), gmin (N,), trusted (N,)), or None.
 
-    For a target with a smooth norm (`space.jacobian_ray`), the sup over
-    far anchors xi of |nu . grad d(u(x), xi)| is the norm of the metric
-    differential applied to nu, reached on the ray xi = u(x) - radius * w
-    with w = J nu / |J nu|; the sup of |grad d(u(x), xi)| is reached with w
-    the top left singular vector of J. J comes from the stencil's central
-    differences, so the seed costs no map evaluation. Each row evaluates its
-    objective (`Stencil.differences`, as the scan) at the anchors of that ray
-    snapped to the dyadic lattice at `REFINE_RADIUS` and `POLISH_RADIUS`,
-    and keeps the larger; a row with J nu = 0 (J = 0 for gmin) gets 0, so it
-    keeps its scan value. None, with no distance or snap evaluated, when
-    cfg.refine is off or the target takes no seed.
+    The directional modulus of a map into a normed space is the norm of the
+    metric differential, |J nu| (Kirchheim 1994; Ambrosio-Kirchheim 2000),
+    and a few members of the dense set that J determines realise it. The
+    target chooses them (`MetricSpace.seeds`): the ray u(x) - R J nu / |J nu|
+    on Euclidean targets and, sheet by sheet, on Q-point targets; u(x) -+ R
+    e_i on the max-norm plane; u(x) -+ pi/2 on the circle. J comes from the
+    stencil's central differences, so a seed costs no map evaluation. Each
+    row evaluates its objective (`Stencil.differences`, as the scan) at its
+    anchors: a ray serves its own direction class, a shared anchor every
+    class, and g is the max over them, 0 where a ray has J nu = 0. gmin is
+    the max of |grad d| over the shared anchors and the top singular
+    vector's rays. None, with no distance or snap evaluated, when cfg.refine
+    is off or the target has no seeds.
 
-    The SVD runs once over all N rows; everything after it (J nu, the
-    normalised w, the snapped anchors, the 2n distance differences, the
-    gmin ray) goes in blocks of REFINE_ROWS rows, so no (N, R, m) temporary
-    is built. Every step is per row (elementwise work, last-axis sums, one
-    LAPACK SVD per matrix), so the values do not depend on the block height.
+    The work goes in blocks of REFINE_ROWS rows, so no (N, R, rep_dim)
+    temporary is built. Every step is per row and BLAS-free (elementwise
+    work, per-coordinate products, last-axis sums, one LAPACK SVD per
+    matrix), so no value depends on the block height, the worker count or
+    the BLAS thread count.
     """
-    if not (cfg.refine and space.jacobian_ray):
+    if not cfg.refine:
         return None
     n = len(stencil.plus)
     depth = _snap_depth(stencil.delta)
-    # 2 delta J e_i; the common factor 2 delta drops out of every direction
-    cols = [plus - minus for plus, minus in zip(stencil.plus, stencil.minus)]
-    u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
-    top = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
-
-    def on_ray(rows, w, objective):
-        """(B, W) max over both radii of the objective at u0 - radius * w / |w| on `rows`, or 0 where w = 0."""
-        length = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
-        live = length > 0
-        w = w / np.where(live, length, 1.0)
-        best = np.zeros(w.shape[:-1])
-        for radius in (REFINE_RADIUS, POLISH_RADIUS):
-            anchor = space.snap(stencil.u0[rows, None, :] - radius * w, depth)
-            np.maximum(best, objective(list(stencil.differences(space, anchor, rows))), out=best)
-        return np.where(live[..., 0], best, 0.0)
+    R = reps.shape[0]
 
     def projection(diffs):
         j = diffs[0] * reps[:, 0]
@@ -435,16 +473,32 @@ def _refine_chunk(space, stencil, reps, cfg):
         return _gradient_norms(np.stack(diffs, axis=-1)) / (2.0 * stencil.delta)
 
     N = stencil.u0.shape[0]
-    g = np.empty((N, reps.shape[0]))
+    g = np.empty((N, R))
     gmin = np.empty(N)
+    trusted = np.empty(N, dtype=bool)
     for r0 in range(0, N, REFINE_ROWS):
         rows = slice(r0, r0 + REFINE_ROWS)
-        jnu = cols[0][rows, None, :] * reps[:, 0, None]
-        for i in range(1, n):
-            jnu += cols[i][rows, None, :] * reps[:, i, None]
-        g[rows] = on_ray(rows, jnu, projection)
-        gmin[rows] = on_ray(rows, top[rows, None, :], gradient_norm)[:, 0]
-    return g, gmin
+        seeds = space.seeds(stencil, rows, reps, depth)
+        if seeds is None:
+            return None
+        g_rows = np.zeros((seeds.trusted.shape[0], R))
+        top = np.zeros(seeds.trusted.shape[0])
+        for anchor in seeds.rays:
+            diffs = list(stencil.differences(space, anchor, rows))
+            np.maximum(g_rows, projection([d[:, :R] for d in diffs]), out=g_rows)
+            np.maximum(top, gradient_norm([d[:, R:] for d in diffs])[:, 0], out=top)
+        if seeds.rays:
+            g_rows = np.where(seeds.live[:, :R], g_rows, 0.0)
+            top = np.where(seeds.live[:, R], top, 0.0)
+        for anchor in seeds.shared:
+            diffs = list(stencil.differences(space, anchor, rows))
+            for a in range(anchor.shape[1]):
+                np.maximum(g_rows, projection([d[:, a, None] for d in diffs]), out=g_rows)
+            np.maximum(top, gradient_norm(diffs).max(axis=1), out=top)
+        g[rows] = g_rows
+        gmin[rows] = top
+        trusted[rows] = seeds.trusted
+    return g, gmin, trusted
 
 
 # ---------------------------------------------------------------------------

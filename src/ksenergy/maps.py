@@ -66,6 +66,10 @@ class Stencil:
         for plus, minus in zip(self.plus, self.minus):
             yield space.distance(plus[rows, None, :], anchors) - space.distance(minus[rows, None, :], anchors)
 
+    def take(self, rows):
+        """The stencil of the rows at index array `rows`."""
+        return Stencil(self.u0[rows], [v[rows] for v in self.plus], [v[rows] for v in self.minus], self.delta)
+
     def gradient(self, space, anchors):
         """(N, A, n) central-difference gradients of x -> d(u(x), xi) for the (A, rep_dim) anchors xi."""
         grads = np.empty((self.u0.shape[0], anchors.shape[0], len(self.plus)))
@@ -137,7 +141,7 @@ def make_map(spec, space, domain_dim):
     """Build a catalog map onto the given target space.
 
     Specs: identity | constant | constant:v1,v2,... | linear:r11,r12;r21,r22
-    | winding:k | qsplit | swirl:a
+    | winding:k (theta = k x_1) | winding:k1,k2 (theta = k1 x_1 + k2 x_2) | qsplit | swirl:a
     """
     parts = str(spec).strip().split(":", 1)
     name = parts[0]
@@ -180,11 +184,15 @@ def make_map(spec, space, domain_dim):
     if name == "winding":
         if not isinstance(space, CircleSpace):
             raise ConfigError("winding maps into the circle target only")
-        k = _spec_floats(spec, arg, 1)[0] if arg is not None else 2.0
+        slopes = _spec_floats(spec, arg) if arg is not None else [2.0]
+        if len(slopes) > min(2, domain_dim):
+            raise ConfigError(f"map spec {spec!r} takes 1 or, on a domain of dimension >= 2, 2 slopes")
 
-        def winding_eval(x, k=k):
-            angle = k * x[..., :1]
-            # (k x) mod 2pi; only negatives, -0.0, NaN and values >= 2pi need
+        def winding_eval(x, slopes=slopes):
+            angle = slopes[0] * x[..., :1]
+            if len(slopes) == 2:
+                angle += slopes[1] * x[..., 1:2]
+            # (k . x) mod 2pi; only negatives, -0.0, NaN and values >= 2pi need
             # the remainder, which returns every other value unchanged
             np.remainder(angle, TAU, out=angle, where=~(angle < TAU) | np.signbit(angle))
             return angle

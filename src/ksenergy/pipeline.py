@@ -70,7 +70,7 @@ _KS_KEYS = (
 
 
 def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep=None, empty_mask=False,
-            warnings=()):
+            warnings=(), field=None):
     """The one report schema every runner fills in.
 
     The header echoes the run and its config. `ks` contributes `ks_keys` of
@@ -79,9 +79,11 @@ def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep
     RepEnergies) contributes the directional block. A true `under_truncation`
     (the 2K probe moved the energy), from `rep` or the runner's `values`,
     adds its coded entry; the runner's own `warnings` come last, and
-    `timing.total_s` is measured from `t0`. A non-finite report number (say
-    g**p overflowing at a large p) is a NonFiniteResultError: JSON has no
-    such numbers.
+    `timing.total_s` is measured from `t0`. `field`, the run's directional
+    field, adds `timing.seeded_rows` and `timing.scanned_rows`: how many of
+    its nodes took their values from seeds and how many from the prefix
+    scan. A non-finite report number (say g**p overflowing at a large p) is
+    a NonFiniteResultError: JSON has no such numbers.
     """
     report = {
         "schema_version": 1,
@@ -108,6 +110,8 @@ def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep
         coded.append("under_truncation")
     report["warnings"] = coded + list(warnings)
     report["timing"] = {"total_s": time.perf_counter() - t0}
+    if field is not None:
+        report["timing"].update(seeded_rows=field.seeded_rows, scanned_rows=len(field.gmin) - field.seeded_rows)
     return report
 
 
@@ -155,7 +159,8 @@ def run_rep(problem, cfg, form="both"):
     values = {"mask_measure": frag.mask_measure}
     if form == "both":
         values["sphere_ball_gap"] = _gap(frag.energy_ball, frag.energy_sphere, frag.mask_measure)
-    report = _report(problem, cfg, "rep-energy", t0, values, rep=frag, empty_mask=not frag.mask_measure)
+    report = _report(problem, cfg, "rep-energy", t0, values, rep=frag, empty_mask=not frag.mask_measure,
+                     field=frag.field)
     return report, {}, frag
 
 
@@ -168,7 +173,7 @@ def run_compare(problem, cfg):
     ks = ks_energy(metric_map, grid, cfg, mask=mask)
     frag = rep_energies(metric_map, grid, cfg, forms=("sphere", "ball"), mask=mask)
     gap = _gap(ks.ks_energy, frag.energy_sphere, ks.mask_measure)
-    report = _report(problem, cfg, "compare", t0, {"relative_gap": gap}, ks=ks, rep=frag)
+    report = _report(problem, cfg, "compare", t0, {"relative_gap": gap}, ks=ks, rep=frag, field=frag.field)
     table = _node_table(
         grid,
         ks.mask_indices,
@@ -212,7 +217,7 @@ def run_counterexample(problem, cfg):
         "under_truncation": frag.under_truncation,
     }
     report = _report(problem, cfg, "counterexample", t0, values, empty_mask=not frag.mask_measure,
-                     warnings=["frame_sum_not_larger"] if strict is False else [])
+                     warnings=["frame_sum_not_larger"] if strict is False else [], field=frag.field)
     table = _node_table(
         grid, frag.mask_indices, sphere_density=frag.density_sphere, frame_density=frag.density_frame
     )
@@ -260,9 +265,10 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
     if "sphere" in sweeps:
         # on S^1 each smaller rule's nodes are bit for bit nodes of the
         # order-256 rule, so one field gives every row. A row equals a separate
-        # run at its order only as far as the scan's projections round alike:
-        # a column's value can move by 1 ulp with its position in the field's
-        # direction table. Checked on the catalog, not guaranteed.
+        # run at its order only as far as each direction keeps its own
+        # representative: `_reduce_directions` keeps a class's first
+        # occurrence, which can sit 1 ulp from another member. Checked on the
+        # catalog, not guaranteed.
         cfg_s = replace(cfg, sphere_order=256, check_truncation=False)
         field = rep_energies(metric_map, grid, cfg_s, forms=("sphere",), mask=mask).field
         rows = []

@@ -6,7 +6,11 @@ Every space works on fixed-length real vectors and exposes
 * ``dense_points(count)`` -- the first `count` points of a deterministic
   enumeration of a dense subset built from dyadic lattices,
 * ``snap(points, depth)`` -- nearest member of the dense set on the depth-d
-  dyadic sublattice (used to generate extra dense-set anchors on demand).
+  dyadic sublattice (used to generate extra dense-set anchors on demand),
+* ``seeds(stencil, rows, reps, depth)`` -- the snapped anchors at which a
+  block of stencil rows reaches its directional sup, chosen from the
+  metric differential, and which rows to trust them on (`Seeds`; None for
+  a space without them).
 
 The dyadic enumeration orders points by cost = (binary depth of the
 coordinates) + (dyadic shell of the max-norm radius), finest-near-origin
@@ -57,6 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import POLISH_RADIUS, REFINE_RADIUS
 from .errors import ConfigError, InvalidPointError
 
 TAU = 2.0 * math.pi
@@ -170,17 +175,69 @@ def _power(d, p):
     return np.power(d, p, out=d)
 
 
+@dataclass(frozen=True)
+class Seeds:
+    """The seed anchors of B stencil rows for R direction classes (`MetricSpace.seeds`).
+
+    `rays` are (B, R + 1, rep_dim) anchor arrays: column r < R serves
+    direction class r alone, and column R, on the top left singular vector
+    of J, serves the minimal gradient alone; `live` (B, R + 1) is False
+    where J nu = 0, and such a column's value is 0. `shared` are
+    (B, A, rep_dim) anchor arrays whose every anchor serves every direction
+    class and the minimal gradient. `trusted` (B,) marks the rows whose
+    seeds realise the sup; the others go to the prefix scan.
+    """
+
+    trusted: np.ndarray
+    rays: tuple = ()
+    live: np.ndarray = None
+    shared: tuple = ()
+
+
+def _jacobian_columns(stencil, rows):
+    """u(x + delta e_i) - u(x - delta e_i) = 2 delta J e_i of stencil rows `rows`, one (B, rep_dim) array per i."""
+    return [plus[rows] - minus[rows] for plus, minus in zip(stencil.plus, stencil.minus)]
+
+
+def _jacobian_rays(cols, reps):
+    """(w, live): the unit vectors J nu / |J nu| of the direction classes `reps`, then the top left singular vector of J.
+
+    w is (B, R + 1, rep_dim), and 0 where live (B, R + 1) is False (J nu = 0,
+    or J = 0 in the last column). The common factor 2 delta of `cols` drops
+    out. Each step is per row (elementwise work, last-axis sums, one LAPACK
+    SVD per matrix), so no value depends on how many rows come at once.
+    """
+    u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
+    w = np.empty((cols[0].shape[0], reps.shape[0] + 1, cols[0].shape[1]))
+    jnu = w[:, :-1]
+    np.multiply(cols[0][:, None, :], reps[:, 0, None], out=jnu)
+    for i in range(1, len(cols)):
+        jnu += cols[i][:, None, :] * reps[:, i, None]
+    w[:, -1] = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
+    length = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+    live = length > 0
+    w /= np.where(live, length, 1.0)
+    return w, live[..., 0]
+
+
 class MetricSpace:
     """Base class; concrete spaces fill in kind, rep_dim and the operations."""
 
     kind = "abstract"
     rep_dim = 0
-    # True: the norm is smooth, so the directional sup is reached on the anchor
-    # ray along J nu, which the directional refinement evaluates
-    jacobian_ray = False
 
     def distance(self, a, b, p=1):
         raise NotImplementedError
+
+    def seeds(self, stencil, rows, reps, depth):
+        """The `Seeds` of stencil rows `rows` for the direction classes `reps`, or None.
+
+        Seeds are members of the dense set (snapped at `depth`) where the
+        directional sup over it is reached, chosen from the metric
+        differential J of the stencil. A space without them returns None,
+        and its rows go to the prefix scan.
+        """
+        return None
 
     def dense_points(self, count):
         raise NotImplementedError
@@ -213,8 +270,6 @@ class MetricSpace:
 class EuclideanSpace(MetricSpace):
     """R^m with the Euclidean distance; dense set = dyadic lattice."""
 
-    jacobian_ray = True
-
     def __init__(self, m):
         if m < 1:
             raise ConfigError("euclidean target needs dimension >= 1")
@@ -233,6 +288,18 @@ class EuclideanSpace(MetricSpace):
             sq += d * d
         return sq if p == 2 else _power(np.sqrt(sq, out=sq), p)
 
+    def seeds(self, stencil, rows, reps, depth):
+        """The rays u(x) - R J nu / |J nu| at R = REFINE_RADIUS and POLISH_RADIUS; every row is trusted.
+
+        A smooth norm's directional sup over far anchors is |J nu|, reached
+        on that ray (Kirchheim 1994), and the sup of |grad d| is reached on
+        the top left singular vector's ray.
+        """
+        w, live = _jacobian_rays(_jacobian_columns(stencil, rows), reps)
+        u0 = stencil.u0[rows, None, :]
+        rays = tuple(self.snap(u0 - radius * w, depth) for radius in (REFINE_RADIUS, POLISH_RADIUS))
+        return Seeds(trusted=np.ones(w.shape[0], dtype=bool), rays=rays, live=live)
+
     def dense_points(self, count):
         if len(self._prefix) < count:
             self._prefix = _dyadic_lattice_prefix(self.m, count)
@@ -249,7 +316,8 @@ class EuclideanSpace(MetricSpace):
 class MaxNormPlane(EuclideanSpace):
     """R^2 with the distance induced by the maximum norm."""
 
-    jacobian_ray = False  # its norm has kinks: the scan alone realizes the sup
+    # u -+ R e_i: the extreme points of the dual ball, one anchor each
+    _AXES = np.concatenate([-np.eye(2), np.eye(2)])
 
     def __init__(self):
         super().__init__(2)
@@ -260,6 +328,17 @@ class MaxNormPlane(EuclideanSpace):
     def distance(self, a, b, p):
         d0 = np.abs(_difference(a[..., 0], b[..., 0]))
         return _power(np.maximum(d0, np.abs(_difference(a[..., 1], b[..., 1])), out=d0), p)
+
+    def seeds(self, stencil, rows, reps, depth):
+        """The anchors u(x) -+ R e_i at R = REFINE_RADIUS and POLISH_RADIUS, shared by every direction; every row is trusted.
+
+        The directional sup is ||J nu||_inf = max_i |(J nu)_i|, and near u(x)
+        the distance to u(x) - R e_i is u_i - xi_i, so its gradient is that
+        of u_i; the sup of |grad d| is max_i |grad u_i|.
+        """
+        u0 = stencil.u0[rows, None, :]
+        shared = tuple(self.snap(u0 + radius * self._AXES, depth) for radius in (REFINE_RADIUS, POLISH_RADIUS))
+        return Seeds(trusted=np.ones(u0.shape[0], dtype=bool), shared=shared)
 
 
 class CircleSpace(MetricSpace):
@@ -278,6 +357,21 @@ class CircleSpace(MetricSpace):
         np.remainder(d, TAU, out=d, where=d >= TAU)
         r = TAU - d
         return _power(np.minimum(d, r, out=r), p)
+
+    def seeds(self, stencil, rows, reps, depth):
+        """The anchors u(x) -+ pi/2, shared by every direction; trusted where the stencil stays on their smooth piece.
+
+        The distance to an anchor xi is linear in the angle except at xi and
+        at xi + pi. A row is trusted when every stencil point lies nearer to
+        u(x) than both kinks of both anchors: less than pi/2, less the
+        snap's offset. Then the seed's value is |nu . grad theta|.
+        """
+        u0 = stencil.u0[rows, None, :]
+        anchors = self.snap(u0 + np.array([[-0.5 * math.pi], [0.5 * math.pi]]), depth)
+        to_anchor = self.distance(u0, anchors)
+        reach = np.min(np.minimum(to_anchor, math.pi - to_anchor), axis=1)
+        span = np.max([self.distance(v[rows], u0[:, 0, :]) for v in stencil.plus + stencil.minus], axis=0)
+        return Seeds(trusted=span < reach, shared=(anchors,))
 
     def dense_points(self, count):
         if len(self._prefix) < count:
@@ -343,6 +437,32 @@ class QPointsSpace(MetricSpace):
                 cost += term
             best = cost if best is None else np.minimum(best, cost, out=best)
         return best if p == 2 else _power(np.sqrt(best, out=best), p)
+
+    def seeds(self, stencil, rows, reps, depth):
+        """The Euclidean ray on the Q*m-vector at R = min(POLISH_RADIUS, sep/4); trusted where the sheets stay apart.
+
+        sep is the smallest distance between two of the Q points of u(x),
+        and a sheet's slope |J_k| the Frobenius norm of its block of J. A row
+        is trusted when sep > 32 delta max_k |J_k| and sep > 32 2^-depth:
+        then on the stencil every sheet moves less than sep/32, the snapped
+        anchor's blocks lie within about sep/4 of their own sheets, and the
+        identity pairing is strictly the best one. The matching distance is
+        then the Euclidean distance of the Q*m-vectors, whose sup is |J nu|.
+        A map whose evaluator swaps the sheets between stencil points gets a
+        slope of about sep / delta there, so those rows are not trusted.
+        """
+        Q, m = self.Q, self.m
+        cols = _jacobian_columns(stencil, rows)
+        u0 = stencil.u0[rows]
+        sep = np.full(u0.shape[0], np.inf)
+        for i, j in itertools.combinations(range(Q), 2):
+            np.minimum(sep, self._base.distance(u0[:, i * m : (i + 1) * m], u0[:, j * m : (j + 1) * m]), out=sep)
+        slope = np.max([np.sqrt(sum(np.sum(c[:, k * m : (k + 1) * m] ** 2, axis=1) for c in cols))
+                        for k in range(Q)], axis=0) / (2.0 * stencil.delta)
+        trusted = (sep > 32.0 * stencil.delta * slope) & (sep > math.ldexp(32.0, -depth))
+        radius = np.minimum(POLISH_RADIUS, np.where(trusted, sep, 0.0) / 4.0)
+        w, live = _jacobian_rays(cols, reps)
+        return Seeds(trusted=trusted, rays=(self.snap(u0[:, None, :] - radius[:, None, None] * w, depth),), live=live)
 
     def _index_tuples(self):
         total = 0

@@ -354,7 +354,7 @@ class TestNestedScan:
 
 
 def _plain_field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
-    """Reference scan: one update per anchor, one copy per prefix length."""
+    """Reference scan with refine off: one update per anchor, one copy per prefix length."""
     space = metric_map.target
     N, n = pts.shape
     R = reps.shape[0]
@@ -373,13 +373,9 @@ def _plain_field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, gri
             gmin = np.maximum(gmin, np.linalg.norm(grad, axis=1))
         if k + 1 in prefixes:
             snaps.append(M.copy())
-    seeded = ksenergy.directional._refine_chunk(space, stencil, reps, cfg)
-    if seeded is not None:
-        gmin = np.maximum(gmin, seeded[1])
-        snaps = [np.maximum(s, seeded[0]) for s in snaps]
     for s in snaps:
         gmin = np.maximum(gmin, s.max(axis=1))
-    return snaps, gmin
+    return snaps, gmin, 0  # no row seeded
 
 
 class TestDistinctScan:
@@ -471,6 +467,13 @@ SEEDED_LINEAR = [
     ("linear:1,0.5,0;0,2,0.25;0.3,0,1", "euclidean:3", 3, 12),
     ("linear:1,0.5;-0.3,2;0.7,0.2;0,-1;0.25,0.25;-1.5,0.5;0.4,-0.6;0.1,1.1", "euclidean:8", 2, 16),
 ]
+# affine maps into the other targets, where the prefix scan reads high (README "Numerical notes")
+SEEDED_OTHER = [
+    ("identity", "max_norm_plane", 2, 32),
+    ("linear:1,0.3;0.2,1.1", "max_norm_plane", 2, 32),
+    ("winding:2", "circle", 2, 32),
+    ("qsplit", "q:2:1", 2, 32),
+]
 
 
 def _seeded_case(map_spec, space_spec, dim, res):
@@ -483,36 +486,161 @@ def _seeded_case(map_spec, space_spec, dim, res):
     return m, pts, dirs, grid
 
 
-@pytest.mark.parametrize(
-    "map_spec, space_spec, dim, res",
-    SEEDED_LINEAR + [
-        ("identity", "max_norm_plane", 2, 32),
-        ("winding:2", "circle", 2, 32),
-        ("qsplit", "q:2:1", 2, 32),
-    ],
-)
-def test_seeded_ray_reaches_exact_moduli(map_spec, space_spec, dim, res):
-    """Euclidean fields of linear maps reach |A nu| and gmin sigma_max(A); other targets keep the scan alone.
+def _jacobian(map_spec):
+    """The constant Jacobian J of an affine catalog map on a 2-d domain, or of a linear map."""
+    name, _, arg = map_spec.partition(":")
+    if name == "identity":
+        return np.eye(2)
+    if name == "qsplit":
+        return np.array([[0.25, 0.5], [-0.25, -0.5]])  # the sheets +-(1 + x1/4 + x2/2)
+    if name == "winding":
+        slopes = [float(v) for v in arg.split(",")]
+        return np.array([slopes + [0.0] * (2 - len(slopes))])
+    return _parse_matrix(arg)
 
-    Every entry is at least its scan-only value, and fields are the same bit
-    for bit at workers 1 and 2 (the 2-d and 3-d grids have two node chunks).
+
+def _exact_moduli(map_spec, space_spec, dirs):
+    """(|J nu| in the target's norm for each direction, sup of |grad d(u, xi)|) of an affine map."""
+    a = _jacobian(map_spec)
+    if space_spec == "max_norm_plane":
+        return np.max(np.abs(dirs @ a.T), axis=1), np.max(np.linalg.norm(a, axis=1))
+    return np.linalg.norm(dirs @ a.T, axis=1), np.linalg.norm(a, 2)
+
+
+@pytest.mark.parametrize("map_spec, space_spec, dim, res", SEEDED_LINEAR + SEEDED_OTHER)
+def test_seeded_ray_reaches_exact_moduli(map_spec, space_spec, dim, res):
+    """Every row is seeded, and its seeds give |J nu| in the target's norm, and gmin its sup over nu.
+
+    On Euclidean targets within 10^-6 relative (the stencil's curvature
+    error at the seeded ray's radii). On the max-norm plane, the circle and
+    `q:2:1` no entry is more than 10^-12 |J| from exact; there the prefix
+    scan alone reads high on some maps (README "Numerical notes"). Fields
+    are the same bit for bit at workers 1 and 2 (the 2-d and 3-d grids have
+    two node chunks).
     """
     m, pts, dirs, grid = _seeded_case(map_spec, space_spec, dim, res)
     cfg = EnergyConfig(check_truncation=False)
     f, f2 = (directional_field(m, pts, dirs, replace(cfg, workers=w), grid) for w in (1, 2))
-    scan = directional_field(m, pts, dirs, replace(cfg, refine=False), grid)
     assert np.array_equal(f.values, f2.values) and np.array_equal(f.gmin, f2.gmin)
-    if not m.target.jacobian_ray:
-        assert np.array_equal(f.values, scan.values) and np.array_equal(f.gmin, scan.gmin)
-        return
-    assert np.all(f.values >= scan.values)
-    a = _parse_matrix(map_spec.split(":", 1)[1])
-    exact = np.linalg.norm(dirs @ a.T, axis=1)
-    assert np.max(1.0 - f.values / exact) <= 1e-6
-    assert np.max(np.abs(f.gmin - np.linalg.norm(a, 2))) <= 1e-6
+    assert f.seeded_rows == len(pts)
+    exact, top = _exact_moduli(map_spec, space_spec, dirs)
+    if space_spec.startswith("euclidean"):
+        assert np.max(np.abs(f.values / exact - 1.0)) <= 1e-6
+        assert np.max(np.abs(f.gmin - top)) <= 1e-6
+    else:
+        bound = 1e-12 * np.linalg.norm(_jacobian(map_spec), 2)
+        assert np.max(np.abs(f.values - exact)) <= bound
+        assert np.max(np.abs(f.gmin - top)) <= bound
 
 
-@pytest.mark.parametrize("map_spec, space_spec, dim, res", SEEDED_LINEAR + [("swirl:0.3", "euclidean:2", 2, 32)])
+@pytest.mark.parametrize("slopes", ["2,1.3", "0.75,0.5"])
+def test_two_slope_winding_seeds_are_exact(slopes):
+    """On theta = k1 x1 + k2 x2 at 32^2 every seeded entry is within 10^-12 |grad theta| of |nu . grad theta|.
+
+    The prefix scan alone (refine off) still reads high there, by up to
+    0.15 |grad theta| on the order-128 sphere rule (0.36 on `winding:2,1.3`):
+    each coordinate's central difference takes its slope from another side
+    of an anchor's kink.
+    """
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [32, 32])
+    m = make_map(f"winding:{slopes}", make_space("circle"), 2)
+    pts = grid.nodes[grid.inner_mask(0.05)]
+    dirs = sphere_nodes(2, 128).nodes
+    grad = np.array([float(k) for k in slopes.split(",")])
+    exact, slope = np.abs(dirs @ grad), np.linalg.norm(grad)
+    cfg = EnergyConfig(check_truncation=False)
+    f = directional_field(m, pts, dirs, cfg, grid)
+    assert f.seeded_rows == len(pts)
+    assert np.max(np.abs(f.values - exact)) <= 1e-12 * slope
+    assert np.max(np.abs(f.gmin - slope)) <= 1e-12 * slope
+    scan = directional_field(m, pts, dirs, replace(cfg, refine=False), grid)
+    assert np.max(scan.values - exact) > 0.1 * slope
+
+
+def _crossing_map():
+    """The two-valued map [[f]] + [[-f]] into q:2:1, f = x1 + x2/2 - 0.6: its sheets cross on f = 0."""
+    space = make_space("q:2:1")
+
+    def crossing(x):
+        f = x[..., :1] + 0.5 * x[..., 1:2] - 0.6
+        return np.concatenate([f, -f], axis=-1)
+
+    return MetricMap(space, crossing, "crossing")
+
+
+def _steep_circle_map():
+    """theta = 100 x1^2 into the circle: at 8^2 (fd step 1/64) the stencil spans pi/2 or more from x1 = 0.5 on."""
+    return MetricMap(make_space("circle"), lambda x: np.remainder(100.0 * x[..., :1] ** 2, 2.0 * math.pi), "steep")
+
+
+# K-sweep energies (K = 16, 32, 64, 128; sphere order 64; p = 2) as the scan gave them before any row was seeded
+PARENT_K_SWEEP = {
+    "crossing": ["0x1.e37d70accc8a2p-1", "0x1.e37d70accc8c8p-1", "0x1.e37d70c7a9d5ep-1", "0x1.e37d70c7a9d66p-1"],
+    "steep": ["0x1.a0dd217f3082ep+10", "0x1.a0dd217f3082fp+10", "0x1.a0dd217f3082fp+10", "0x1.a0dd217f30830p+10"],
+}
+
+
+@pytest.mark.parametrize("make, res, untrusted", [(_crossing_map, 32, 126), (_steep_circle_map, 8, 32)])
+def test_rows_without_a_trusted_seed_keep_the_scan(monkeypatch, make, res, untrusted):
+    """Untrusted rows equal a refine-off field bit for bit, trusted rows hold their seeds, and the K sweep is unchanged.
+
+    The crossing map's rows with sep <= 32 delta |grad f| (126 of 784 at
+    32^2, two node chunks) and the steep circle map's rows whose stencil
+    spans pi/2 or more are not trusted. Also on three points with one
+    untrusted row, which is scanned beside a companion row.
+    """
+    m = make()
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [res, res])
+    pts = grid.nodes[grid.inner_mask(0.05)]
+    dirs = sphere_nodes(2, 64).nodes
+    cfg = EnergyConfig(dense_count=128, sphere_order=64, ball_order=(8, 64), h_count=3)
+    refine = ksenergy.directional._refine_chunk
+
+    def field(points, workers):
+        seeded = []
+
+        def record(space, stencil, reps, cfg):
+            out = refine(space, stencil, reps, cfg)
+            seeded.append(out)
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ksenergy.directional, "_refine_chunk", record)
+            f = directional_field(m, points, dirs, replace(cfg, workers=workers), grid)
+        # chunks run in order at workers 1; at workers 2 only the fields are compared
+        return f, seeded
+
+    f, seeded = field(pts, 1)
+    g = np.concatenate([s[0] for s in seeded])
+    trusted = np.concatenate([s[2] for s in seeded])
+    assert np.count_nonzero(~trusted) == untrusted and f.seeded_rows == len(pts) - untrusted
+    scan = directional_field(m, pts, dirs, replace(cfg, refine=False), grid)
+    for k in (cfg.dense_count, 2 * cfg.dense_count):
+        assert np.array_equal(f.reduced[k][~trusted], scan.reduced[k][~trusted]), k
+        assert np.array_equal(f.reduced[k][trusted], g[trusted]), k
+    assert np.array_equal(f.gmin[~trusted], scan.gmin[~trusted])
+    f2, _ = field(pts, 2)
+    assert all(np.array_equal(f2.reduced[k], f.reduced[k]) for k in f.reduced) and np.array_equal(f2.gmin, f.gmin)
+
+    # one untrusted row among three
+    few = np.concatenate([pts[~trusted][:1], pts[trusted][:2]])
+    f3, _ = field(few, 1)
+    scan3 = directional_field(m, few, dirs, replace(cfg, refine=False), grid)
+    assert f3.seeded_rows == 2
+    assert np.array_equal(f3.values[0], scan3.values[0]) and f3.gmin[0] == scan3.gmin[0]
+
+    ladder = (16, 32, 64, 128)
+    cfg_k = replace(cfg, check_truncation=False, refine=False)
+    k_field = rep_energies(m, grid, cfg_k, forms=("sphere",), prefixes=ladder).field
+    sweep = [k_field.sphere_energy(cfg_k.sphere_rule(2), cfg.p, grid.node_weight, k)[1] for k in ladder]
+    assert [v.hex() for v in sweep] == PARENT_K_SWEEP[m.label]
+
+
+@pytest.mark.parametrize(
+    "map_spec, space_spec, dim, res",
+    SEEDED_LINEAR + [("swirl:0.3", "euclidean:2", 2, 32), ("identity", "max_norm_plane", 2, 32),
+                     ("winding:2,1.3", "circle", 2, 32), ("qsplit", "q:2:1", 2, 32)],
+)
 def test_seeded_ray_blocks_never_change_bits(monkeypatch, map_spec, space_spec, dim, res):
     """`_refine_chunk` gives the one-block result bit for bit at any REFINE_ROWS, at workers 1 and 2."""
     m, pts, dirs, grid = _seeded_case(map_spec, space_spec, dim, res)
@@ -520,7 +648,7 @@ def test_seeded_ray_blocks_never_change_bits(monkeypatch, map_spec, space_spec, 
     refine = ksenergy.directional._refine_chunk
 
     def run(rows, workers):
-        seeded = {}  # chunk's first stencil row -> (g, gmin)
+        seeded = {}  # chunk's first stencil row -> (g, gmin, trusted)
 
         def record(space, stencil, reps, cfg):
             seeded[stencil.u0[0].tobytes()] = out = refine(space, stencil, reps, cfg)
@@ -538,8 +666,8 @@ def test_seeded_ray_blocks_never_change_bits(monkeypatch, map_spec, space_spec, 
         for workers in (1, 2):
             got, got_seeded = run(rows, workers)
             assert got_seeded.keys() == want_seeded.keys()
-            for key, (g, gmin) in want_seeded.items():
-                assert np.array_equal(got_seeded[key][0], g) and np.array_equal(got_seeded[key][1], gmin), (rows, workers)
+            for key, seeds in want_seeded.items():
+                assert all(np.array_equal(a, b) for a, b in zip(got_seeded[key], seeds)), (rows, workers)
             assert np.array_equal(got.reduced[16], want.reduced[16]) and np.array_equal(got.gmin, want.gmin)
 
 

@@ -53,6 +53,14 @@ class TestEval:
         finite = ~np.isnan(want)
         assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite]))
 
+    def test_two_slope_winding(self):
+        """winding:k1,k2 is (k1 x1 + k2 x2) mod 2pi; winding:k is winding:k,0."""
+        x = np.random.default_rng(0).uniform(-3.0, 3.0, size=(50, 2))
+        got = make_map("winding:2,1.3", make_space("circle"), 2).eval(x)
+        assert np.array_equal(got, (2.0 * x[:, :1] + 1.3 * x[:, 1:]) % TAU)
+        one = make_map("winding:0.75", make_space("circle"), 2).eval(x)
+        assert np.array_equal(one, make_map("winding:0.75,0", make_space("circle"), 2).eval(x))
+
     def test_vectorized_shapes(self):
         m = make_map("qsplit", make_space("q:2:1"), 2)
         out = m.eval(np.zeros((5, 3, 2)))
@@ -227,5 +235,9 @@ def test_make_map_validation():
         make_map("linear:1,0;0,1", make_space("circle"), 2)
     with pytest.raises(ConfigError):
         make_map("winding:2", make_space("euclidean:2"), 2)
+    with pytest.raises(ConfigError):
+        make_map("winding:1,2,3", make_space("circle"), 3)
+    with pytest.raises(ConfigError):
+        make_map("winding:1,2", make_space("circle"), 1)
     with pytest.raises(ConfigError):
         make_map("mystery", make_space("euclidean:2"), 2)
