@@ -191,14 +191,6 @@ class DirectionalField:
         density = self.density(rule.nodes, p, rule.weights, k=k)
         return density, node_weight * pairwise_sum(density)
 
-    def max_direction_gap(self):
-        """max g_nu - gmin over everything (must be <= 0 by construction).
-
-        Every column of the reduced table is some direction's own column, so
-        its max is that of the expanded (N, D) `values`, without building it.
-        """
-        return float(np.max(self.reduced[self.dense_count] - self.gmin[:, None]))
-
 
 def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
     """Compute g_nu for every point/direction pair, plus the minimal gradient.
@@ -449,7 +441,7 @@ def _refine_chunk(space, stencil, reps, cfg):
     class, and g is the max over them, 0 where a ray has J nu = 0. gmin is
     the max of |grad d| over the shared anchors and the top singular
     vector's rays. None, with no distance or snap evaluated, when cfg.refine
-    is off or the target has no seeds.
+    is off.
 
     The work goes in blocks of REFINE_ROWS rows, so no (N, R, rep_dim)
     temporary is built. Every step is per row and BLAS-free (elementwise
@@ -479,8 +471,6 @@ def _refine_chunk(space, stencil, reps, cfg):
     for r0 in range(0, N, REFINE_ROWS):
         rows = slice(r0, r0 + REFINE_ROWS)
         seeds = space.seeds(stencil, rows, reps, depth)
-        if seeds is None:
-            return None
         g_rows = np.zeros((seeds.trusted.shape[0], R))
         top = np.zeros(seeds.trusted.shape[0])
         for anchor in seeds.rays:
@@ -571,7 +561,8 @@ def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefi
         ball_rule = cfg.ball_rule(n)
         ball_radii = np.linalg.norm(ball_rule.nodes, axis=1)
         safe = np.where(ball_radii > 0, ball_radii, 1.0)[:, None]
-        # a node at the origin has no direction: e_1 stands in, its modulus times radius 0
+        # only a 1-d rule of odd order has a node at the origin (n >= 2 radii lie in (0, 1)):
+        # e_1 stands in for its direction, its modulus times radius 0
         groups["ball"] = np.where(ball_radii[:, None] > 0, ball_rule.nodes / safe, np.eye(n)[0])
     if "frame" in forms:
         groups["frame"] = np.eye(n)
@@ -613,15 +604,12 @@ class IncrementCheck:
         return self.lhs <= self.rhs * (1.0 + INCREMENT_TOLERANCE) + 1e-300
 
 
-def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
+def check_increment_bound(metric_map, grid, v, h, cfg):
     """Compare shifted-increment mass against the directional bound.
 
     lhs = integral over the h-erosion of d^p(u(x + h v), u(x));
     rhs = h^p * integral over the box of |d_v u|^p. The lhs never exceeds the
-    rhs (up to INCREMENT_TOLERANCE). `_field_cache` (a dict) keeps the
-    directional field of each (map, grid, cfg, direction) between calls; the
-    first three are keyed by identity and kept alive in the entry, so a key
-    never outlives its objects.
+    rhs (up to INCREMENT_TOLERANCE).
     """
     v = np.asarray(v, dtype=np.float64)
     if not np.linalg.norm(v) <= 1.0 + 1e-12:
@@ -639,12 +627,6 @@ def check_increment_bound(metric_map, grid, v, h, cfg, _field_cache=None):
         rhs = 0.0
     else:
         nu = v / vnorm
-        key = (id(metric_map), id(grid), id(cfg), tuple(np.round(nu, 15)))
-        if _field_cache is not None and key in _field_cache:
-            field = _field_cache[key][-1]
-        else:
-            field = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid, prefixes=(cfg.dense_count,))
-            if _field_cache is not None:
-                _field_cache[key] = (metric_map, grid, cfg, field)
+        field = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid, prefixes=(cfg.dense_count,))
         rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(field.density(nu[None], cfg.p))
     return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs))

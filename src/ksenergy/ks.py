@@ -18,8 +18,7 @@ coordinate. Plane c is x_c + h v_c, filled by one batched rank-2 product
 add is the only rounding and the planes are those of the broadcast sum bit
 for bit at any BLAS thread count (but for (-0) + (-0), and no grid node is
 -0). u(x) is expanded once per row block into a second coordinate-major
-buffer, so the distance kernels subtract whole planes, and the map
-evaluators (see maps.py) write their values as planes too.
+buffer, of the shape of the map's values at the tile's ball points.
 The target's `distance(a, b, p)` returns d**p directly (see spaces.py), and
 each tile ends in `part += d**p @ w`. Every row sums the same batch dot
 products in the same order as without tiles. Each is a BLAS dgemv, and

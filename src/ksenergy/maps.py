@@ -6,10 +6,7 @@ stencil points) always come from the evaluator itself. That keeps
 interpolation error out of both energy pipelines.
 
 Evaluators are vectorized: they accept arrays shaped (..., n) and return
-(..., rep_dim). `swirl` and `qsplit` write each output coordinate into its
-own contiguous plane (an (rep_dim, ...) buffer moved to the last axis), so
-the distance kernels read whole planes; `identity` keeps its input's
-layout, and `linear` is the BLAS product x @ A.T.
+(..., rep_dim).
 """
 
 import math
@@ -132,11 +129,6 @@ def _spec_floats(spec, text, count=None):
     return values
 
 
-def _coordinate_planes(x, k):
-    """An empty x.shape[:-1] + (k,) output whose out[..., c] are contiguous planes, one per coordinate."""
-    return np.moveaxis(np.empty((k,) + x.shape[:-1]), 0, -1)
-
-
 def make_map(spec, space, domain_dim):
     """Build a catalog map onto the given target space.
 
@@ -166,7 +158,7 @@ def make_map(spec, space, domain_dim):
         def const_eval(x, point=point):
             return np.broadcast_to(point, x.shape[:-1] + (point.size,)).copy()
 
-        return MetricMap(space, const_eval, f"constant:{','.join(repr(v) for v in point)}")
+        return MetricMap(space, const_eval, f"constant:{','.join(repr(float(v)) for v in point)}")
 
     if name == "linear":
         if arg is None:
@@ -206,10 +198,8 @@ def make_map(spec, space, domain_dim):
             raise ConfigError("qsplit is defined on 2-d domains")
 
         def qsplit_eval(x):
-            out = _coordinate_planes(x, 2)
-            sheet = np.add(1.0 + 0.25 * x[..., 0], 0.5 * x[..., 1], out=out[..., 0])
-            np.negative(sheet, out=out[..., 1])
-            return out
+            sheet = 1.0 + 0.25 * x[..., 0] + 0.5 * x[..., 1]
+            return np.stack([sheet, -sheet], axis=-1)
 
         # sheets +-sigma with sigma = 1 + x1/4 + x2/2; grad sigma = (1/4, 1/2)
         return MetricMap(space, qsplit_eval, "qsplit")
@@ -222,10 +212,7 @@ def make_map(spec, space, domain_dim):
         a = _spec_floats(spec, arg, 1)[0] if arg is not None else 0.3
 
         def swirl_eval(x, a=a):
-            out = _coordinate_planes(x, 2)
-            np.add(x[..., 0], a * np.sin(x[..., 1]), out=out[..., 0])
-            np.add(x[..., 1], a * np.cos(x[..., 0]), out=out[..., 1])
-            return out
+            return np.stack([x[..., 0] + a * np.sin(x[..., 1]), x[..., 1] + a * np.cos(x[..., 0])], axis=-1)
 
         return MetricMap(space, swirl_eval, f"swirl:{a!r}")
 

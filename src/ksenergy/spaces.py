@@ -9,8 +9,7 @@ Every space works on fixed-length real vectors and exposes
   dyadic sublattice (used to generate extra dense-set anchors on demand),
 * ``seeds(stencil, rows, reps, depth)`` -- the snapped anchors at which a
   block of stencil rows reaches its directional sup, chosen from the
-  metric differential, and which rows to trust them on (`Seeds`; None for
-  a space without them).
+  metric differential, and which rows to trust them on (`Seeds`).
 
 The dyadic enumeration orders points by cost = (binary depth of the
 coordinates) + (dyadic shell of the max-norm radius), finest-near-origin
@@ -221,23 +220,22 @@ def _jacobian_rays(cols, reps):
 
 
 class MetricSpace:
-    """Base class; concrete spaces fill in kind, rep_dim and the operations."""
+    """Base class; concrete spaces fill in spec, rep_dim and the operations."""
 
-    kind = "abstract"
     rep_dim = 0
 
     def distance(self, a, b, p=1):
         raise NotImplementedError
 
     def seeds(self, stencil, rows, reps, depth):
-        """The `Seeds` of stencil rows `rows` for the direction classes `reps`, or None.
+        """The `Seeds` of stencil rows `rows` for the direction classes `reps`.
 
         Seeds are members of the dense set (snapped at `depth`) where the
         directional sup over it is reached, chosen from the metric
-        differential J of the stencil. A space without them returns None,
-        and its rows go to the prefix scan.
+        differential J of the stencil. Rows they are not trusted on go to
+        the prefix scan.
         """
-        return None
+        raise NotImplementedError
 
     def dense_points(self, count):
         raise NotImplementedError
@@ -257,10 +255,10 @@ class MetricSpace:
         a = np.asarray(a, dtype=np.float64)
         if a.shape[-1:] != (self.rep_dim,):
             raise InvalidPointError(
-                f"{self.kind} expects points of dimension {self.rep_dim}, got shape {a.shape}"
+                f"{self.spec} expects points of dimension {self.rep_dim}, got shape {a.shape}"
             )
         if not np.all(np.isfinite(a)):
-            raise InvalidPointError(f"non-finite point for space {self.kind}")
+            raise InvalidPointError(f"non-finite point for space {self.spec}")
         return a
 
     def __repr__(self):
@@ -275,7 +273,6 @@ class EuclideanSpace(MetricSpace):
             raise ConfigError("euclidean target needs dimension >= 1")
         self.m = int(m)
         self.rep_dim = self.m
-        self.kind = "euclidean"
         self.spec = f"euclidean:{self.m}"
         self._prefix = np.empty((0, self.m))
 
@@ -321,7 +318,6 @@ class MaxNormPlane(EuclideanSpace):
 
     def __init__(self):
         super().__init__(2)
-        self.kind = "max_norm_plane"
         self.spec = "max_norm_plane"
 
     @_single_points_as_rows
@@ -345,7 +341,6 @@ class CircleSpace(MetricSpace):
     """Unit circle parametrized by angle, with the geodesic (arc) distance."""
 
     rep_dim = 1
-    kind = "circle"
     spec = "circle"
 
     def __init__(self):
@@ -407,7 +402,6 @@ class QPointsSpace(MetricSpace):
         self.Q = int(Q)
         self.m = int(m)
         self.rep_dim = self.Q * self.m
-        self.kind = "q_points"
         self.spec = f"q:{self.Q}:{self.m}"
         self._base = EuclideanSpace(m)
         self._prefix = np.empty((0, self.rep_dim))
@@ -499,8 +493,7 @@ class QPointsSpace(MetricSpace):
     def snap(self, points, depth):
         # block order is irrelevant to the matching distance, so no
         # canonicalization is needed here
-        scale = float(2**depth)
-        return np.round(np.asarray(points, dtype=np.float64) * scale) / scale
+        return self._base.snap(points, depth)
 
     def sample_points(self, count, rng):
         return self.canonical(rng.uniform(-2.0, 2.0, size=(count, self.rep_dim)))

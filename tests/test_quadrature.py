@@ -87,6 +87,12 @@ class TestBallRules:
             assert np.all(np.linalg.norm(rule.nodes, axis=1) <= 1.0 + 1e-12)
             assert np.all(rule.weights > 0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_node_has_a_direction(self, n):
+        """The Gauss-Legendre radii lie in (0, 1), so no node of an n >= 2 rule sits at the origin (an odd 1-d rule has one)."""
+        for radial in range(1, 65):
+            assert np.all(np.linalg.norm(ball_nodes(n, (radial, 16)).nodes, axis=1) > 0), radial
+
     def test_linear_map_second_moment(self):
         # integral over the ball of |A v|^2 = |A|_F^2 * pi / 4 in 2-d
         rule = ball_nodes(2)
