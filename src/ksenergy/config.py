@@ -16,17 +16,26 @@ POLISH_RADIUS = 32.0  # and its far anchor, where the stencil error is negligibl
 TRUNCATION_RTOL = 1e-3  # the 2K probe flags a relative change of the energy above this
 
 
+def _count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _pair(value):
+    return isinstance(value, (tuple, list)) and len(value) == 2
+
+
 @dataclass(frozen=True)
 class EnergyConfig:
     """All numerical settings for the two energy pipelines.
 
     The KS ladder is h0 / 2^j, j = 1..h_count. fd_step None means "smallest
     grid spacing / 8", resolved per grid. sphere_order / ball_order None pick
-    the per-dimension defaults from the quadrature module. refine False
-    leaves the directional sup to the prefix scan (no seeded rays). How the
-    directional sup is searched (anchor exclusion, refinement and polish
-    radii, the 2K probe's tolerance) is a fixed recipe: the module
-    constants above, echoed by `to_dict`.
+    the per-dimension defaults from the quadrature module; ball_order is a
+    (radial, angular) pair, the angular entry an int or, in 3-d, a pair.
+    refine False leaves the directional sup to the prefix scan (no seeded
+    rays). How the directional sup is searched (anchor exclusion, refinement
+    and polish radii, the 2K probe's tolerance) is a fixed recipe: the
+    module constants above, echoed by `to_dict`.
     """
 
     p: float = 2.0
@@ -49,10 +58,12 @@ class EnergyConfig:
             raise ConfigError(f"h0 must be positive and finite, got {self.h0}")
         if self.fd_step is not None and not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise ConfigError(f"fd_step must be positive and finite, got {self.fd_step}")
-        for name in ("sphere_order", "ball_order"):
-            value = getattr(self, name)
-            if value is not None and np.any(np.asarray(value) < 1):
-                raise ConfigError(f"{name} entries must be >= 1, got {value}")
+        if self.sphere_order is not None and np.any(np.asarray(self.sphere_order) < 1):
+            raise ConfigError(f"sphere_order entries must be >= 1, got {self.sphere_order}")
+        b = self.ball_order
+        angular = _pair(b) and (_count(b[1]) or _pair(b[1]) and all(map(_count, b[1])))
+        if b is not None and not (angular and _count(b[0])):
+            raise ConfigError(f"ball_order must be a pair (radial, angular) of ints >= 1 or (radial, pair), got {b!r}")
         if self.dense_count < 1:
             raise ConfigError("dense_count must be >= 1")
         if self.workers < 1:

@@ -48,16 +48,16 @@ the scan overshoots on the max-norm plane and the circle (README
 "Numerical notes").
 
 The field holds one column per class of directions equal up to sign (g is
-even in nu), and every energy reads it the same way, by direction: the
-sphere average over a rule's nodes, the ball integral over its nodes'
-directions, the frame sum over e_1..e_n, and each K or sphere-order row of
-a convergence sweep. Each energy's density is reduced per node chunk in the
-worker threads (`DirectionalField.density`), never from a full (nodes,
-directions) table, but with that table's operations, order and layout, so
-bit for bit the same. A direction's value can still differ by 1 ulp with
-the other directions in the field: `_reduce_directions` keeps a class's
-first occurrence as its representative, and two members of a class can
-differ by 1 ulp.
+even in nu), and every energy is one formula over it, sum_j w_j g_j^p over
+(directions, weights): the sphere rule's nodes, the ball rule folded onto
+its direction classes, e_1..e_n with weight 1 for the frame sum, and each K
+or sphere-order row of a convergence sweep. Each density is reduced per
+node chunk in the worker threads (`DirectionalField.density`), never from
+a full (nodes, directions) table, but with that table's operations, order
+and layout, so bit for bit the same. A direction's value can still differ
+by 1 ulp with the other directions in the field: `_reduce_directions`
+keeps a class's first occurrence as its representative, and two members
+of a class can differ by 1 ulp.
 """
 
 import math
@@ -70,12 +70,12 @@ from .config import ANCHOR_EXCLUSION, TRUNCATION_RTOL
 from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
 from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
-from .quadrature import energy_normalization
+from .quadrature import QuadratureRule, energy_normalization
 from .spaces import _power
 
 INCREMENT_TOLERANCE = 1e-3  # IncrementCheck.holds allows the lhs this relative excess
-# rows per density block: a block of the 3,072 ball directions and the power's
-# temporary take 1.5 MB each (12.6 MB each for a whole 512-row chunk)
+FORMS = ("sphere", "ball", "frame")  # the energies `rep_energies` computes
+# rows per density block: a wide rule (a large --sphere-order, n > 3) never fills a whole chunk's block
 DENSITY_ROWS = 64
 # rows per seeded-ray block: a (rows, 192 direction classes, 2) temporary takes
 # 384 KiB (1.5 MiB for a whole 512-row chunk)
@@ -148,20 +148,15 @@ class DirectionalField:
         """(N, D) g_nu at the K = dense_count prefix, expanded on each call."""
         return self.columns(self.dirs)
 
-    def density(self, directions, p, weights=None, radii=None, scale=None, k=None):
-        """(N,) scale * sum_j weights_j (radii_j g_j)^p over `directions`, at prefix k (default K).
+    def density(self, directions, p, weights, k=None):
+        """(N,) sum_j weights_j g_j^p over `directions`, at prefix k (default K).
 
-        Without weights it is the plain sum over the directions (the frame
-        sum); radii and scale default to 1. The density is reduced per node
-        chunk in `workers` threads, so no (N, len(directions)) table is
-        built. Each chunk works in blocks of DENSITY_ROWS rows: it gathers
-        their columns into a C-ordered block, applies * radii, ** p (with
-        `spaces._power`, as the KS route does), * scale and * weights in
-        place, in that order, then sums each row: the operations of a
-        full-size table, so the values are the same bit for bit. The row
-        sum is numpy's pairwise sum over contiguous terms, not a BLAS
-        product, so no BLAS thread count changes a digit; it also rounds
-        less than a BLAS dot or a sequential sum.
+        Reduced per node chunk in `workers` threads, DENSITY_ROWS rows at a
+        time: their columns gathered into a C-ordered block, ** p (with
+        `spaces._power`, as the KS route) and * weights in place, then row
+        sums. These are a full (N, len(directions)) table's operations, so
+        the values are the same bit for bit; the row sum is numpy's pairwise
+        sum, not a BLAS product, so no BLAS thread count changes a digit.
         """
         table = self.reduced[self.dense_count if k is None else k]
         cols = self._column_index(directions)
@@ -172,22 +167,16 @@ class DirectionalField:
             with np.errstate(all="ignore"):
                 for r0 in range(start, stop, DENSITY_ROWS):
                     r1 = min(r0 + DENSITY_ROWS, stop)
-                    block = np.take(table[r0:r1], cols, axis=1)
-                    if radii is not None:
-                        block *= radii
-                    block = _power(block, p)
-                    if scale is not None:
-                        block *= scale
-                    if weights is not None:
-                        block *= weights
+                    block = _power(np.take(table[r0:r1], cols, axis=1), p)
+                    block *= weights
                     np.sum(block, axis=1, out=out[r0 - start : r1 - start])
             return out
 
         parts = run_chunked(work, table.shape[0], self.workers)
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def sphere_energy(self, rule, p, node_weight, k=None):
-        """(density, energy) of the sphere average of g_nu^p under `rule`, at prefix k (default K)."""
+    def energy(self, rule, p, node_weight, k=None):
+        """(density, energy) of sum_j w_j g_j^p over the (directions, weights) of `rule`, at prefix k (default K)."""
         density = self.density(rule.nodes, p, rule.weights, k=k)
         return density, node_weight * pairwise_sum(density)
 
@@ -429,19 +418,14 @@ def _distinct_slots(grads, norms):
 def _refine_chunk(space, stencil, reps, cfg):
     """The seeds of one block of points: (g (N, R), gmin (N,), trusted (N,)), or None.
 
-    The directional modulus of a map into a normed space is the norm of the
-    metric differential, |J nu| (Kirchheim 1994; Ambrosio-Kirchheim 2000),
-    and a few members of the dense set that J determines realise it. The
-    target chooses them (`MetricSpace.seeds`): the ray u(x) - R J nu / |J nu|
-    on Euclidean targets and, sheet by sheet, on Q-point targets; u(x) -+ R
-    e_i on the max-norm plane; u(x) -+ pi/2 on the circle. J comes from the
-    stencil's central differences, so a seed costs no map evaluation. Each
-    row evaluates its objective (`Stencil.differences`, as the scan) at its
-    anchors: a ray serves its own direction class, a shared anchor every
-    class, and g is the max over them, 0 where a ray has J nu = 0. gmin is
-    the max of |grad d| over the shared anchors and the top singular
-    vector's rays. None, with no distance or snap evaluated, when cfg.refine
-    is off.
+    The target chooses the seeds of the module docstring (`MetricSpace.seeds`)
+    from J, the stencil's central differences, so a seed costs no map
+    evaluation. Each row evaluates its objective (`Stencil.differences`, as
+    the scan) at its anchors: a ray serves its own direction class, a shared
+    anchor every class, and g is the max over them, 0 where a ray has
+    J nu = 0. gmin is the max of |grad d| over the shared anchors and the
+    top singular vector's rays. None, with no distance or snap evaluated,
+    when cfg.refine is off.
 
     The work goes in blocks of REFINE_ROWS rows, so no (N, R, rep_dim)
     temporary is built. Every step is per row and BLAS-free (elementwise
@@ -536,54 +520,57 @@ class RepEnergies:
     field: Optional[DirectionalField] = None
 
 
-def rep_energies(metric_map, grid, cfg, forms=("sphere", "ball", "frame"), prefixes=None, mask=None):
+def _fold_ball(rule, p):
+    """A ball rule folded onto its direction classes, W_c = c_{n,p} sum_{j in c} w_j |v_j|^p: |d_v u| = |v| g_{v/|v|}."""
+    radii = np.linalg.norm(rule.nodes, axis=1)
+    live = radii > 0  # a node at the origin (an odd 1-d rule's) adds 0
+    dirs, inv = _reduce_directions(rule.nodes[live] / radii[live, None])
+    mass = np.bincount(inv, weights=rule.weights[live] * _power(radii[live], p), minlength=len(dirs))
+    return QuadratureRule(nodes=dirs, weights=energy_normalization(rule.nodes.shape[1], p) * mass)
+
+
+def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     """Compute the requested representation energies in one shared pass.
 
     All forms reuse a single anchor table per node, so the minimal gradient
     dominates every directional value structurally and the sphere/ball
-    comparison differs only by quadrature. Each form's density is reduced
-    per node chunk (`DirectionalField.density`). `prefixes` is passed to
-    `directional_field`; the energies are at K, and the sphere energy also
-    at 2K when the field holds it. `mask` is the h0-erosion mask, built
+    comparison differs only by quadrature. `forms` is a nonempty subset of
+    FORMS, each one (directions, weights) rule for `DirectionalField.energy`,
+    the ball's folded onto its direction classes. `prefixes` is passed
+    to `directional_field`; the energies are at K, and the sphere energy
+    also at 2K when the field holds it. `mask` is the h0-erosion mask, built
     here when not given.
     """
+    if not forms or not set(forms) <= set(FORMS):
+        raise ConfigError(f"forms must be a nonempty subset of {FORMS}, got {forms!r}")
     if mask is None:
         mask = grid.inner_mask(cfg.h0)
     idx = np.flatnonzero(mask)
     pts = grid.nodes[idx]
     n = grid.dim
 
-    groups = {}  # form -> its directions, in field order
+    rules = {}  # form -> its (directions, weights) rule, in field order
     if "sphere" in forms:
-        sphere_rule = cfg.sphere_rule(n)
-        groups["sphere"] = sphere_rule.nodes
+        rules["sphere"] = cfg.sphere_rule(n)
     if "ball" in forms:
-        ball_rule = cfg.ball_rule(n)
-        ball_radii = np.linalg.norm(ball_rule.nodes, axis=1)
-        safe = np.where(ball_radii > 0, ball_radii, 1.0)[:, None]
-        # only a 1-d rule of odd order has a node at the origin (n >= 2 radii lie in (0, 1)):
-        # e_1 stands in for its direction, its modulus times radius 0
-        groups["ball"] = np.where(ball_radii[:, None] > 0, ball_rule.nodes / safe, np.eye(n)[0])
+        rules["ball"] = _fold_ball(cfg.ball_rule(n), cfg.p)
     if "frame" in forms:
-        groups["frame"] = np.eye(n)
+        rules["frame"] = QuadratureRule(nodes=np.eye(n), weights=np.ones(n))
 
-    f = directional_field(metric_map, pts, np.concatenate(list(groups.values())), cfg, grid, prefixes)
+    f = directional_field(metric_map, pts, np.concatenate([r.nodes for r in rules.values()]), cfg, grid, prefixes)
 
     out = RepEnergies(mask_indices=idx, mask_measure=float(grid.node_weight * len(idx)), field=f)
     if "sphere" in forms:
-        out.density_sphere, out.energy_sphere = f.sphere_energy(sphere_rule, cfg.p, grid.node_weight)
+        out.density_sphere, out.energy_sphere = f.energy(rules["sphere"], cfg.p, grid.node_weight)
         doubled = 2 * cfg.dense_count
         if doubled in f.reduced:
-            _, out.energy_sphere_doubled = f.sphere_energy(sphere_rule, cfg.p, grid.node_weight, doubled)
+            _, out.energy_sphere_doubled = f.energy(rules["sphere"], cfg.p, grid.node_weight, doubled)
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
             out.under_truncation = abs(out.energy_sphere_doubled - out.energy_sphere) > TRUNCATION_RTOL * ref
     if "ball" in forms:
-        density_ball = f.density(groups["ball"], cfg.p, ball_rule.weights, radii=ball_radii,
-                                 scale=energy_normalization(n, cfg.p))
-        out.energy_ball = grid.node_weight * pairwise_sum(density_ball)
+        _, out.energy_ball = f.energy(rules["ball"], cfg.p, grid.node_weight)
     if "frame" in forms:
-        out.density_frame = f.density(groups["frame"], cfg.p)
-        out.frame_sum = grid.node_weight * pairwise_sum(out.density_frame)
+        out.density_frame, out.frame_sum = f.energy(rules["frame"], cfg.p, grid.node_weight)
     return out
 
 
@@ -628,5 +615,5 @@ def check_increment_bound(metric_map, grid, v, h, cfg):
     else:
         nu = v / vnorm
         field = directional_field(metric_map, grid.nodes, nu[None, :], cfg, grid, prefixes=(cfg.dense_count,))
-        rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(field.density(nu[None], cfg.p))
+        rhs = (h * vnorm) ** cfg.p * grid.node_weight * pairwise_sum(field.density(nu[None], cfg.p, np.ones(1)))
     return IncrementCheck(v=tuple(v.tolist()), h=float(h), lhs=float(lhs), rhs=float(rhs))

@@ -259,7 +259,7 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
         cfg_k = replace(cfg, check_truncation=False, refine=False)
         field = rep_energies(metric_map, grid, cfg_k, forms=("sphere",), prefixes=ladder, mask=mask).field
         rule = cfg_k.sphere_rule(grid.dim)
-        rows = [(k, field.sphere_energy(rule, cfg.p, grid.node_weight, k)[1]) for k in ladder]
+        rows = [(k, field.energy(rule, cfg.p, grid.node_weight, k)[1]) for k in ladder]
         tables["K_sweep"] = [("K", "rep_energy_sphere_prefix_only")] + rows
 
     if "sphere" in sweeps:
@@ -274,7 +274,7 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
         rows = []
         for order in (16, 32, 64, 128, 256):
             rule = replace(cfg_s, sphere_order=order).sphere_rule(2)
-            rows.append((order, field.sphere_energy(rule, cfg.p, grid.node_weight)[1]))
+            rows.append((order, field.energy(rule, cfg.p, grid.node_weight)[1]))
         tables["sphere_sweep"] = [("sphere_order", "rep_energy_sphere")] + rows
 
     if "delta" in sweeps:

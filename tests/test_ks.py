@@ -201,5 +201,19 @@ def test_config_validation():
         EnergyConfig(dense_count=0)
 
 
+@pytest.mark.parametrize("order", [(8,), 8, (8, 16, 4), (0, 16), (8, 0), (8, (4,)), (8, (4, 0)), (8, (4, 8, 2)),
+                                   (8.0, 16), (True, 16), (np.int64(8), 16), "8,16", (8, None)])
+def test_ball_order_rejects_anything_but_a_radial_angular_pair(order):
+    with pytest.raises(ConfigError):
+        EnergyConfig(ball_order=order)
+
+
+def test_ball_order_takes_a_3d_angular_pair():
+    cfg = EnergyConfig(ball_order=(8, (4, 8)))
+    assert cfg.ball_rule(3).nodes.shape == (8 * 4 * 8, 3)
+    assert cfg.to_dict()["ball_order"] == [8, (4, 8)]
+    assert EnergyConfig(ball_order=[8, 16]).ball_rule(2).nodes.shape == (8 * 16, 2)
+
+
 def test_boundary_knob_values_are_accepted():
     assert EnergyConfig(refine=False).to_dict()["refine"] is False
