@@ -24,6 +24,11 @@ def _pair(value):
     return isinstance(value, (tuple, list)) and len(value) == 2
 
 
+def _angular(value):
+    """A sphere rule's order: a count, or in 3-d an (azimuth, polar) pair of counts."""
+    return _count(value) or _pair(value) and all(map(_count, value))
+
+
 @dataclass(frozen=True)
 class EnergyConfig:
     """All numerical settings for the two energy pipelines.
@@ -58,11 +63,10 @@ class EnergyConfig:
             raise ConfigError(f"h0 must be positive and finite, got {self.h0}")
         if self.fd_step is not None and not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise ConfigError(f"fd_step must be positive and finite, got {self.fd_step}")
-        if self.sphere_order is not None and np.any(np.asarray(self.sphere_order) < 1):
-            raise ConfigError(f"sphere_order entries must be >= 1, got {self.sphere_order}")
+        if self.sphere_order is not None and not _angular(self.sphere_order):
+            raise ConfigError(f"sphere_order must be an int >= 1 or a pair of them, got {self.sphere_order!r}")
         b = self.ball_order
-        angular = _pair(b) and (_count(b[1]) or _pair(b[1]) and all(map(_count, b[1])))
-        if b is not None and not (angular and _count(b[0])):
+        if b is not None and not (_pair(b) and _count(b[0]) and _angular(b[1])):
             raise ConfigError(f"ball_order must be a pair (radial, angular) of ints >= 1 or (radial, pair), got {b!r}")
         if self.dense_count < 1:
             raise ConfigError("dense_count must be >= 1")

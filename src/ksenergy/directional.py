@@ -427,7 +427,8 @@ def _refine_chunk(space, stencil, reps, cfg):
     top singular vector's rays. None, with no distance or snap evaluated,
     when cfg.refine is off.
 
-    The work goes in blocks of REFINE_ROWS rows, so no (N, R, rep_dim)
+    The work goes in blocks of REFINE_ROWS rows, each handed to the target
+    as its own stencil (views, `Stencil.take`), so no (N, R, rep_dim)
     temporary is built. Every step is per row and BLAS-free (elementwise
     work, per-coordinate products, last-axis sums, one LAPACK SVD per
     matrix), so no value depends on the block height, the worker count or
@@ -454,18 +455,19 @@ def _refine_chunk(space, stencil, reps, cfg):
     trusted = np.empty(N, dtype=bool)
     for r0 in range(0, N, REFINE_ROWS):
         rows = slice(r0, r0 + REFINE_ROWS)
-        seeds = space.seeds(stencil, rows, reps, depth)
+        block = stencil.take(rows)
+        seeds = space.seeds(block, reps, depth)
         g_rows = np.zeros((seeds.trusted.shape[0], R))
         top = np.zeros(seeds.trusted.shape[0])
         for anchor in seeds.rays:
-            diffs = list(stencil.differences(space, anchor, rows))
+            diffs = list(block.differences(space, anchor))
             np.maximum(g_rows, projection([d[:, :R] for d in diffs]), out=g_rows)
             np.maximum(top, gradient_norm([d[:, R:] for d in diffs])[:, 0], out=top)
         if seeds.rays:
             g_rows = np.where(seeds.live[:, :R], g_rows, 0.0)
             top = np.where(seeds.live[:, R], top, 0.0)
         for anchor in seeds.shared:
-            diffs = list(stencil.differences(space, anchor, rows))
+            diffs = list(block.differences(space, anchor))
             for a in range(anchor.shape[1]):
                 np.maximum(g_rows, projection([d[:, a, None] for d in diffs]), out=g_rows)
             np.maximum(top, gradient_norm(diffs).max(axis=1), out=top)

@@ -34,7 +34,7 @@ class StencilRangeError(KSEnergyError):
 
 
 class ExtrapolationDataError(KSEnergyError):
-    """Too few h values, or h not strictly decreasing, for the extrapolation fit."""
+    """Too few h values, or h not a halving ladder h_0 / 2^j, for the extrapolation fit."""
 
 
 class NonFiniteResultError(KSEnergyError):

@@ -54,17 +54,17 @@ class Stencil:
     minus: list
     delta: float
 
-    def differences(self, space, anchors, rows=slice(None)):
-        """Yield d(u(x + delta e_i), xi) - d(u(x - delta e_i), xi), (B, A), for each coordinate i.
+    def differences(self, space, anchors):
+        """Yield d(u(x + delta e_i), xi) - d(u(x - delta e_i), xi), (N, A), for each coordinate i.
 
-        `anchors` is (A, rep_dim), shared by every row, or (B, A, rep_dim),
-        one set per row; `rows` picks the B stencil rows.
+        `anchors` is (A, rep_dim), shared by every row, or (N, A, rep_dim),
+        one set per row.
         """
         for plus, minus in zip(self.plus, self.minus):
-            yield space.distance(plus[rows, None, :], anchors) - space.distance(minus[rows, None, :], anchors)
+            yield space.distance(plus[:, None, :], anchors) - space.distance(minus[:, None, :], anchors)
 
     def take(self, rows):
-        """The stencil of the rows at index array `rows`."""
+        """The stencil of the rows at index array `rows`, or views of it for a slice."""
         return Stencil(self.u0[rows], [v[rows] for v in self.plus], [v[rows] for v in self.minus], self.delta)
 
     def gradient(self, space, anchors):

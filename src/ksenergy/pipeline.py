@@ -256,7 +256,7 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
         ladder.append(cfg.dense_count)
         # the K-prefix values are snapshots of one running max over the
         # anchor enumeration, so one scan to the largest K gives every row
-        cfg_k = replace(cfg, check_truncation=False, refine=False)
+        cfg_k = replace(cfg, refine=False)
         field = rep_energies(metric_map, grid, cfg_k, forms=("sphere",), prefixes=ladder, mask=mask).field
         rule = cfg_k.sphere_rule(grid.dim)
         rows = [(k, field.energy(rule, cfg.p, grid.node_weight, k)[1]) for k in ladder]

@@ -61,6 +61,8 @@ def sphere_nodes(n, order=None, seed=0):
         raise UnsupportedDimensionError(f"sphere rules need n >= 2, got n={n}")
     if order is None:
         order = DEFAULT_SPHERE_ORDER.get(n, DEFAULT_QMC_COUNT)
+    if n != 3 and not np.isscalar(order):
+        raise UnsupportedDimensionError(f"an (azimuth, polar) sphere order needs n = 3, got {order!r} for n={n}")
     if n == 2:
         count = int(order)
         if count < 1:
@@ -138,60 +140,35 @@ def _gaussian_from_uniform(u):
 def extrapolate_fields(h, values):
     """Fit value = L + c * h^q on the last three h, per column of values (len(h), N).
 
-    h must be strictly decreasing. Returns four (N,) arrays: the fitted limit
-    L, the observed order q, |c| * h_last^q as the error estimate (the size
-    of the final correction), and the fallback flag. Near-constant tails
-    short-circuit to (last value, 0, 0); an unresolvable order falls back to
-    a first-order fit and is flagged.
+    h must be a halving ladder, h_j = h_0 / 2^j (the ladder `EnergyConfig`
+    builds, subnormal steps included). Returns four (N,) arrays: the fitted
+    limit L, the observed order q, |c| * h_last^q as the error estimate (the
+    size of the final correction), and the fallback flag. On that ladder the
+    fit is closed form (Aitken's delta-squared): with d1 = v1 - v2 and
+    d2 = v2 - v3, d1 / d2 = 2^q and c * h_last^q = d2 / (2^q - 1). The order
+    is fitted where d1 / d2 lies in [2^0.001, 2^16]; anywhere else the
+    first-order fit (q = 1, correction d2) is used and flagged. Near-constant
+    tails short-circuit to (last value, 0, 0).
     """
     h = np.asarray(h, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if h.size < 3:
         raise ExtrapolationDataError(f"need at least 3 h values, got {h.size}")
-    if not np.all(np.diff(h) < 0):
-        raise ExtrapolationDataError("h values must be strictly decreasing")
-    return _fit_tail(h[-3:], values[-3:])
-
-
-def _fit_tail(h, v):
-    """Solve v_i = L + c h_i^q on three points, per column of v."""
-    h1, h2, h3 = h
-    d1 = v[0] - v[1]
-    d2 = v[1] - v[2]
-    scale = np.maximum(np.max(np.abs(v), axis=0), 1.0)
+    # ldexp rounds a subnormal step as the config's ladder does, where 2 * h[j + 1] == h[j] fails
+    if not (0 < h[0] < np.inf and np.array_equal(h, np.ldexp(h[0], -np.arange(h.size)))):
+        raise ExtrapolationDataError("h values must halve at each step")
+    v1, v2, v3 = values[-3:]
+    d1 = v1 - v2
+    d2 = v2 - v3
+    scale = np.maximum(np.max(np.abs(values[-3:]), axis=0), 1.0)
     const = (np.abs(d1) <= 1e-13 * scale) & (np.abs(d2) <= 1e-13 * scale)
-    usable = (~const) & (d1 * d2 > 0)
-
-    ratio = np.where(usable, d1 / np.where(d2 == 0, 1.0, d2), 2.0)
-    q = _solve_order(float(h1), float(h2), float(h3), ratio)
-    ok = usable & np.isfinite(q)
-    q = np.where(ok, q, 1.0)  # first-order fallback
-    denom = h2**q - h3**q
-    c = d2 / np.where(denom == 0, 1.0, denom)
-    limit = v[2] - c * h3**q
-    err = np.abs(c) * h3**q
-
-    limit = np.where(const, v[2], limit)
-    q = np.where(const, 0.0, q)
-    err = np.where(const, 0.0, err)
-    fallback = (~const) & ~ok
-    return limit, q, err, fallback
-
-
-def _solve_order(h1, h2, h3, ratio):
-    """Bisection for q in (h1^q - h2^q) / (h2^q - h3^q) = ratio (monotone in q)."""
-    lo = np.full_like(ratio, 1e-3)
-    hi = np.full_like(ratio, 16.0)
-
-    def f(q):
-        return (h1**q - h2**q) / (h2**q - h3**q) - ratio
-
-    bad = f(lo) * f(hi) > 0  # no bracket
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        left = f(lo) * f(mid) <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-    q = 0.5 * (lo + hi)
-    return np.where(bad, np.nan, q)
-
+    usable = ~const & (d1 * d2 > 0)
+    divisor = np.where(usable, d2, 1.0)
+    ratio = d1 / divisor
+    ok = usable & (ratio >= 2.0**0.001) & (ratio <= 2.0**16)
+    # 2^q - 1 as (d1 - d2) / d2, not ratio - 1, which cancels as q -> 0; the first-order fit has 2^1 - 1
+    step = d2 / np.where(ok, (d1 - d2) / divisor, 1.0)
+    limit = np.where(const, v3, v3 - step)
+    order = np.where(const, 0.0, np.log2(np.where(ok, ratio, 2.0)))
+    err = np.where(const, 0.0, np.abs(step))
+    return limit, order, err, ~const & ~ok

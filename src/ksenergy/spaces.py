@@ -7,9 +7,9 @@ Every space works on fixed-length real vectors and exposes
   enumeration of a dense subset built from dyadic lattices,
 * ``snap(points, depth)`` -- nearest member of the dense set on the depth-d
   dyadic sublattice (used to generate extra dense-set anchors on demand),
-* ``seeds(stencil, rows, reps, depth)`` -- the snapped anchors at which a
-  block of stencil rows reaches its directional sup, chosen from the
-  metric differential, and which rows to trust them on (`Seeds`).
+* ``seeds(stencil, reps, depth)`` -- the snapped anchors at which the rows
+  of a stencil reach their directional sup, chosen from the metric
+  differential, and which rows to trust them on (`Seeds`).
 
 The dyadic enumeration orders points by cost = (binary depth of the
 coordinates) + (dyadic shell of the max-norm radius), finest-near-origin
@@ -193,9 +193,9 @@ class Seeds:
     shared: tuple = ()
 
 
-def _jacobian_columns(stencil, rows):
-    """u(x + delta e_i) - u(x - delta e_i) = 2 delta J e_i of stencil rows `rows`, one (B, rep_dim) array per i."""
-    return [plus[rows] - minus[rows] for plus, minus in zip(stencil.plus, stencil.minus)]
+def _jacobian_columns(stencil):
+    """u(x + delta e_i) - u(x - delta e_i) = 2 delta J e_i of the stencil's rows, one (B, rep_dim) array per i."""
+    return [plus - minus for plus, minus in zip(stencil.plus, stencil.minus)]
 
 
 def _jacobian_rays(cols, reps):
@@ -227,8 +227,8 @@ class MetricSpace:
     def distance(self, a, b, p=1):
         raise NotImplementedError
 
-    def seeds(self, stencil, rows, reps, depth):
-        """The `Seeds` of stencil rows `rows` for the direction classes `reps`.
+    def seeds(self, stencil, reps, depth):
+        """The `Seeds` of the stencil's rows for the direction classes `reps`.
 
         Seeds are members of the dense set (snapped at `depth`) where the
         directional sup over it is reached, chosen from the metric
@@ -285,15 +285,15 @@ class EuclideanSpace(MetricSpace):
             sq += d * d
         return sq if p == 2 else _power(np.sqrt(sq, out=sq), p)
 
-    def seeds(self, stencil, rows, reps, depth):
+    def seeds(self, stencil, reps, depth):
         """The rays u(x) - R J nu / |J nu| at R = REFINE_RADIUS and POLISH_RADIUS; every row is trusted.
 
         A smooth norm's directional sup over far anchors is |J nu|, reached
         on that ray (Kirchheim 1994), and the sup of |grad d| is reached on
         the top left singular vector's ray.
         """
-        w, live = _jacobian_rays(_jacobian_columns(stencil, rows), reps)
-        u0 = stencil.u0[rows, None, :]
+        w, live = _jacobian_rays(_jacobian_columns(stencil), reps)
+        u0 = stencil.u0[:, None, :]
         rays = tuple(self.snap(u0 - radius * w, depth) for radius in (REFINE_RADIUS, POLISH_RADIUS))
         return Seeds(trusted=np.ones(w.shape[0], dtype=bool), rays=rays, live=live)
 
@@ -325,14 +325,14 @@ class MaxNormPlane(EuclideanSpace):
         d0 = np.abs(_difference(a[..., 0], b[..., 0]))
         return _power(np.maximum(d0, np.abs(_difference(a[..., 1], b[..., 1])), out=d0), p)
 
-    def seeds(self, stencil, rows, reps, depth):
+    def seeds(self, stencil, reps, depth):
         """The anchors u(x) -+ R e_i at R = REFINE_RADIUS and POLISH_RADIUS, shared by every direction; every row is trusted.
 
         The directional sup is ||J nu||_inf = max_i |(J nu)_i|, and near u(x)
         the distance to u(x) - R e_i is u_i - xi_i, so its gradient is that
         of u_i; the sup of |grad d| is max_i |grad u_i|.
         """
-        u0 = stencil.u0[rows, None, :]
+        u0 = stencil.u0[:, None, :]
         shared = tuple(self.snap(u0 + radius * self._AXES, depth) for radius in (REFINE_RADIUS, POLISH_RADIUS))
         return Seeds(trusted=np.ones(u0.shape[0], dtype=bool), shared=shared)
 
@@ -353,7 +353,7 @@ class CircleSpace(MetricSpace):
         r = TAU - d
         return _power(np.minimum(d, r, out=r), p)
 
-    def seeds(self, stencil, rows, reps, depth):
+    def seeds(self, stencil, reps, depth):
         """The anchors u(x) -+ pi/2, shared by every direction; trusted where the stencil stays on their smooth piece.
 
         The distance to an anchor xi is linear in the angle except at xi and
@@ -361,11 +361,11 @@ class CircleSpace(MetricSpace):
         u(x) than both kinks of both anchors: less than pi/2, less the
         snap's offset. Then the seed's value is |nu . grad theta|.
         """
-        u0 = stencil.u0[rows, None, :]
+        u0 = stencil.u0[:, None, :]
         anchors = self.snap(u0 + np.array([[-0.5 * math.pi], [0.5 * math.pi]]), depth)
         to_anchor = self.distance(u0, anchors)
         reach = np.min(np.minimum(to_anchor, math.pi - to_anchor), axis=1)
-        span = np.max([self.distance(v[rows], u0[:, 0, :]) for v in stencil.plus + stencil.minus], axis=0)
+        span = np.max([self.distance(v, u0[:, 0, :]) for v in stencil.plus + stencil.minus], axis=0)
         return Seeds(trusted=span < reach, shared=(anchors,))
 
     def dense_points(self, count):
@@ -432,7 +432,7 @@ class QPointsSpace(MetricSpace):
             best = cost if best is None else np.minimum(best, cost, out=best)
         return best if p == 2 else _power(np.sqrt(best, out=best), p)
 
-    def seeds(self, stencil, rows, reps, depth):
+    def seeds(self, stencil, reps, depth):
         """The Euclidean ray on the Q*m-vector at R = min(POLISH_RADIUS, sep/4); trusted where the sheets stay apart.
 
         sep is the smallest distance between two of the Q points of u(x),
@@ -446,8 +446,8 @@ class QPointsSpace(MetricSpace):
         slope of about sep / delta there, so those rows are not trusted.
         """
         Q, m = self.Q, self.m
-        cols = _jacobian_columns(stencil, rows)
-        u0 = stencil.u0[rows]
+        cols = _jacobian_columns(stencil)
+        u0 = stencil.u0
         sep = np.full(u0.shape[0], np.inf)
         for i, j in itertools.combinations(range(Q), 2):
             np.minimum(sep, self._base.distance(u0[:, i * m : (i + 1) * m], u0[:, j * m : (j + 1) * m]), out=sep)

@@ -5,7 +5,7 @@ import pytest
 
 import ksenergy.ks
 from ksenergy import EnergyConfig, build_grid, ks_energy, make_map, make_space
-from ksenergy.errors import ConfigError, NonFiniteResultError
+from ksenergy.errors import ConfigError, NonFiniteResultError, UnsupportedDimensionError
 from ksenergy.ks import _oscillates, approx_density_field
 from ksenergy.quadrature import energy_normalization
 
@@ -206,6 +206,22 @@ def test_config_validation():
 def test_ball_order_rejects_anything_but_a_radial_angular_pair(order):
     with pytest.raises(ConfigError):
         EnergyConfig(ball_order=order)
+
+
+@pytest.mark.parametrize("settings, error", [
+    (dict(sphere_order=(16,)), ConfigError),
+    (dict(sphere_order="abc"), ConfigError),
+    (dict(sphere_order=16.5), ConfigError),
+    (dict(sphere_order=True), ConfigError),
+    (dict(sphere_order=(16, 32)), UnsupportedDimensionError),
+    (dict(ball_order=(8, (4, 8))), UnsupportedDimensionError),
+])
+def test_malformed_angular_orders_raise_structured_errors(settings, error):
+    """A malformed sphere_order is a ConfigError; an (azimuth, polar) pair on a 2-d rule an UnsupportedDimensionError."""
+    with pytest.raises(error):
+        cfg = EnergyConfig(**settings)
+        cfg.sphere_rule(2)
+        cfg.ball_rule(2)
 
 
 def test_ball_order_takes_a_3d_angular_pair():

@@ -209,7 +209,7 @@ class TestFdGradient:
         anchors = np.stack([space.dense_points(40)[r::4][:9] for r in range(len(pts))])
         per_row = list(stencil.differences(space, anchors))
         for r in range(len(pts)):
-            alone = list(stencil.differences(space, anchors[r], rows=slice(r, r + 1)))
+            alone = list(stencil.take(slice(r, r + 1)).differences(space, anchors[r]))
             for got, want in zip(per_row, alone):
                 assert np.array_equal(got[r], want[0])
         shared = anchors[0]

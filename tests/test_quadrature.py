@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksenergy import ball_nodes, energy_normalization, sphere_nodes, unit_ball_volume
+from ksenergy import EnergyConfig, ball_nodes, energy_normalization, sphere_nodes, unit_ball_volume
 from ksenergy.errors import ExtrapolationDataError, UnsupportedDimensionError
 from ksenergy.quadrature import extrapolate_fields
 
@@ -145,6 +145,29 @@ class TestExtrapolation:
     def test_requires_decreasing_h(self):
         with pytest.raises(ExtrapolationDataError):
             _fit_sequence([(0.1, 1.0), (0.2, 1.1), (0.05, 0.9)])
+
+    def test_requires_a_halving_ladder(self):
+        with pytest.raises(ExtrapolationDataError):
+            _fit_sequence([(0.4, 1.4), (0.3, 1.3), (0.05, 1.05)])
+
+    def test_closed_form_is_exact_on_an_exact_ratio(self):
+        """1 + h^2 at h = 1/2, 1/4, 1/8: d1 / d2 = 4 exactly, so the fit is exact to the bit."""
+        limit, order, error, fallback = _fit_sequence([(h, 1.0 + h * h) for h in (0.5, 0.25, 0.125)])
+        assert (limit, order, error, fallback) == (1.0, 2.0, 2.0**-6, False)
+
+    def test_accepts_a_ladder_with_subnormal_steps(self):
+        """h0 = 0.05 at h_count = 1019 ends below the normal range, where 2 * h[j + 1] == h[j] fails."""
+        h = np.array(EnergyConfig(h0=0.05, h_count=1019, p=1.0).h_ladder())
+        assert not np.all(2.0 * h[1:] == h[:-1])
+        limit, order, _, fallback = extrapolate_fields(h, (1.0 + h)[:, None])
+        assert limit == [1.0] and order == [0.0] and not fallback.any()
+
+    @pytest.mark.parametrize("values", [(1.0, 1.5, 1.0), (2.0, 1.5, 1.0), (1.0 + 2.0**-4, 1.0 + 2.0**-21, 1.0)])
+    def test_unfittable_ratio_falls_back_to_first_order(self, values):
+        """d1 / d2 = -1, 1 and 2^17 lie outside [2^0.001, 2^16]: the correction is d2, flagged."""
+        limit, order, error, fallback = _fit_sequence(list(zip((0.4, 0.2, 0.1), values)))
+        d2 = values[1] - values[2]
+        assert (limit, order, error, fallback) == (values[2] - d2, 1.0, d2, True)
 
     def test_vectorized_matches_scalar(self):
         h = np.array([0.4, 0.2, 0.1])
