@@ -91,7 +91,11 @@ class EnergyConfig:
         return quadrature.sphere_nodes(n, self.sphere_order, seed=self.seed)
 
     def ball_rule(self, n):
-        return quadrature.ball_nodes(n, self.ball_order, seed=self.seed)
+        return quadrature.ball_nodes(n, self.ball_order, seed=self.seed, p=self.p)
+
+    def ball_angular_rule(self, n):
+        """The sphere rule of `ball_rule`'s directions."""
+        return quadrature.sphere_nodes(n, quadrature.ball_order(n, self.ball_order)[1], seed=self.seed)
 
     def to_dict(self):
         d = asdict(self)

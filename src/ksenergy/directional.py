@@ -49,12 +49,13 @@ the scan overshoots on the max-norm plane and the circle (README
 
 The field holds one column per class of directions equal up to sign (g is
 even in nu), and every energy is one formula over it, sum_j w_j g_j^p over
-(directions, weights): the sphere rule's nodes, the ball rule folded onto
-its direction classes, e_1..e_n with weight 1 for the frame sum, and each K
-or sphere-order row of a convergence sweep. Each density is reduced per
-node chunk in the worker threads (`DirectionalField.density`), never from
-a full (nodes, directions) table, but with that table's operations, order
-and layout, so bit for bit the same. A direction's value can still differ
+(directions, weights): the sphere rule's nodes, the ball rule's angular
+rule (|d_v u| = |v| g_{v/|v|}, and the ball rule's radial weights W_k have
+c_{n,p} n omega_n sum_k W_k = 1), e_1..e_n with weight 1 for the frame sum,
+and each K or sphere-order row of a convergence sweep. Each density is
+reduced per node chunk in the worker threads (`DirectionalField.density`),
+never from a full (nodes, directions) table, but with that table's
+operations, order and layout, so bit for bit the same. A direction's value can still differ
 by 1 ulp with the other directions in the field: `_reduce_directions`
 keeps a class's first occurrence as its representative, and two members
 of a class can differ by 1 ulp.
@@ -70,7 +71,7 @@ from .config import ANCHOR_EXCLUSION, TRUNCATION_RTOL
 from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
 from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
-from .quadrature import QuadratureRule, energy_normalization
+from .quadrature import QuadratureRule
 from .spaces import _power
 
 INCREMENT_TOLERANCE = 1e-3  # IncrementCheck.holds allows the lhs this relative excess
@@ -518,17 +519,8 @@ class RepEnergies:
     mask_indices: Optional[np.ndarray] = None
     mask_measure: float = 0.0
     energy_sphere_doubled: Optional[float] = None
-    under_truncation: bool = False
+    under_truncation: Optional[bool] = False  # None when every row is seeded: the probe measures nothing
     field: Optional[DirectionalField] = None
-
-
-def _fold_ball(rule, p):
-    """A ball rule folded onto its direction classes, W_c = c_{n,p} sum_{j in c} w_j |v_j|^p: |d_v u| = |v| g_{v/|v|}."""
-    radii = np.linalg.norm(rule.nodes, axis=1)
-    live = radii > 0  # a node at the origin (an odd 1-d rule's) adds 0
-    dirs, inv = _reduce_directions(rule.nodes[live] / radii[live, None])
-    mass = np.bincount(inv, weights=rule.weights[live] * _power(radii[live], p), minlength=len(dirs))
-    return QuadratureRule(nodes=dirs, weights=energy_normalization(rule.nodes.shape[1], p) * mass)
 
 
 def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
@@ -538,10 +530,11 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     dominates every directional value structurally and the sphere/ball
     comparison differs only by quadrature. `forms` is a nonempty subset of
     FORMS, each one (directions, weights) rule for `DirectionalField.energy`,
-    the ball's folded onto its direction classes. `prefixes` is passed
-    to `directional_field`; the energies are at K, and the sphere energy
-    also at 2K when the field holds it. `mask` is the h0-erosion mask, built
-    here when not given.
+    for the ball its angular rule. `prefixes` is passed to
+    `directional_field`; the energies are at K, and the sphere energy also
+    at 2K when the field holds a 2K table of its own (None with every row
+    seeded, as the flag). `mask` is the h0-erosion mask, built here when
+    not given.
     """
     if not forms or not set(forms) <= set(FORMS):
         raise ConfigError(f"forms must be a nonempty subset of {FORMS}, got {forms!r}")
@@ -555,7 +548,7 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     if "sphere" in forms:
         rules["sphere"] = cfg.sphere_rule(n)
     if "ball" in forms:
-        rules["ball"] = _fold_ball(cfg.ball_rule(n), cfg.p)
+        rules["ball"] = cfg.ball_angular_rule(n)
     if "frame" in forms:
         rules["frame"] = QuadratureRule(nodes=np.eye(n), weights=np.ones(n))
 
@@ -565,7 +558,9 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     if "sphere" in forms:
         out.density_sphere, out.energy_sphere = f.energy(rules["sphere"], cfg.p, grid.node_weight)
         doubled = 2 * cfg.dense_count
-        if doubled in f.reduced:
+        if f.reduced.get(doubled) is f.reduced[cfg.dense_count]:
+            out.under_truncation = None
+        elif doubled in f.reduced:
             _, out.energy_sphere_doubled = f.energy(rules["sphere"], cfg.p, grid.node_weight, doubled)
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
             out.under_truncation = abs(out.energy_sphere_doubled - out.energy_sphere) > TRUNCATION_RTOL * ref

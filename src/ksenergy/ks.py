@@ -7,7 +7,8 @@ The approximate density at scale h is
 with c_{n,p} = (n + p) / (n * omega_n), defined for x in the h-erosion of the
 domain. Integrals of e_h over the localization region are extrapolated in h
 to produce the energy; per-node extrapolation gives the limiting density
-field.
+field. The ball rule's radii are Gauss-Jacobi for the weight r^(n-1+p)
+(`quadrature.ball_nodes`), exact in r on affine maps with any number of radii.
 
 The ball average runs per 512-row chunk of `run_chunked`, in tiles of
 `row_block` rows x `node_chunk` ball nodes (128 x 128), so a tile's ball

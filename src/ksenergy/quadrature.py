@@ -1,9 +1,9 @@
 """Deterministic sphere and ball quadrature, and limit extrapolation.
 
 Sphere rules are normalized so the weights sum to 1 (they compute surface
-*averages*); ball rules sum to the unit-ball volume omega_n. Low dimensions
-use product rules that are exact on low-degree polynomials; n > 3 falls back
-to a seeded scrambled-Sobol construction so reports stay reproducible.
+*averages*); ball rules sum to the unit-ball volume omega_n at p = 0. Low
+dimensions use product rules exact on low-degree polynomials; n > 3 falls
+back to a seeded scrambled-Sobol construction so reports stay reproducible.
 """
 
 import math
@@ -22,11 +22,6 @@ DEFAULT_QMC_COUNT = 4096
 def unit_ball_volume(n):
     """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def sphere_surface_area(n):
-    """Surface measure of S^(n-1), equal to n * omega_n."""
-    return n * unit_ball_volume(n)
 
 
 def energy_normalization(n, p):
@@ -51,19 +46,22 @@ class QuadratureRule:
 def sphere_nodes(n, order=None, seed=0):
     """Quadrature rule for surface averages over S^(n-1).
 
+    n=1: S^0 = {+1, -1}, weight 1/2 each (a count is ignored).
     n=2: uniform angles (order = count, default 256), built in antipodal
     pairs so node j + M/2 is exactly -node j for even counts.
     n=3: uniform azimuth x Gauss-Legendre in cos(polar), order = (azimuth,
     polar), default (16, 32).
     n>3: seeded scrambled Sobol mapped through the Gaussian construction.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"sphere rules need n >= 2, got n={n}")
+    if n < 1:
+        raise UnsupportedDimensionError(f"sphere rules need n >= 1, got n={n}")
     if order is None:
         order = DEFAULT_SPHERE_ORDER.get(n, DEFAULT_QMC_COUNT)
     if n != 3 and not np.isscalar(order):
         raise UnsupportedDimensionError(f"an (azimuth, polar) sphere order needs n = 3, got {order!r} for n={n}")
-    if n == 2:
+    if n == 1:
+        nodes, weights = np.array([[1.0], [-1.0]]), np.full(2, 0.5)
+    elif n == 2:
         count = int(order)
         if count < 1:
             raise UnsupportedDimensionError("need at least one sphere node")
@@ -102,31 +100,44 @@ def sphere_nodes(n, order=None, seed=0):
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def ball_nodes(n, order=None, seed=0):
-    """Quadrature rule integrating over the unit ball B_1(0) in R^n.
+def ball_order(n, order=None):
+    """A ball rule's (radial, angular) orders: `order`, or 4 radii and the angular default for n."""
+    if order is None:
+        return 4, {2: 192, 3: (16, 32)}.get(n, DEFAULT_QMC_COUNT)
+    return int(order[0]), order[1]
 
-    For n >= 2 this is Gauss-Legendre in radius (with the r^(n-1) Jacobian
-    folded into the weights) tensored with a sphere rule; order = (radial,
-    sphere order). n=1 reduces to Gauss-Legendre on [-1, 1] with order (or
-    its radial entry) nodes.
+
+def radial_nodes(m, beta):
+    """m-point Gauss-Jacobi rule on (0, 1) for the weight r^beta, exact on r^beta times degree 2m - 1.
+
+    Golub-Welsch: the Jacobi matrix of the Jacobi polynomials for alpha = 0
+    and beta on [-1, 1] has eigenvalues x, the nodes (x + 1) / 2, and
+    eigenvectors v, the weights v_0^2 * integral_0^1 r^beta dr.
+    """
+    k = np.arange(1.0, m)
+    s = 2.0 * k + beta
+    diag = np.concatenate([[beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))])
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return (x + 1.0) / 2.0, v[0] ** 2 / (beta + 1.0)
+
+
+def ball_nodes(n, order=None, seed=0, p=0.0):
+    """Quadrature rule for integrals over the unit ball B_1(0) in R^n of |v|^p times a smooth function.
+
+    Gauss-Jacobi radii for the weight r^(n-1+p) (`radial_nodes`) tensored
+    with a sphere rule (S^0 in 1-d), order = (radial, angular) (`ball_order`).
+    A node's weight is W_k r_k^-p (n omega_n) s_w: on an affine map u the
+    rule sums d^p(u(x), u(x + h v)) exactly with any number of radii, and at
+    p = 0 it is the plain volume rule.
     """
     if n < 1:
         raise UnsupportedDimensionError(f"ball rules need n >= 1, got n={n}")
-    if n == 1:
-        count = int(np.atleast_1d(order)[0]) if order is not None else 32
-        x, w = leggauss(count)
-        return QuadratureRule(nodes=x[:, None], weights=w)
-    if order is None:
-        radial, sphere_order = 16, {2: 192, 3: (16, 32)}.get(n, DEFAULT_QMC_COUNT)
-    else:
-        radial, sphere_order = int(order[0]), order[1]
-    r, w = leggauss(int(radial))
-    r = 0.5 * (r + 1.0)  # map to (0, 1)
-    w = 0.5 * w
-    sphere = sphere_nodes(n, sphere_order, seed=seed)
-    surface = sphere_surface_area(n)
+    radial, angular = ball_order(n, order)
+    r, w = radial_nodes(radial, n - 1 + p)
+    sphere = sphere_nodes(n, angular, seed=seed)
     nodes = (r[:, None, None] * sphere.nodes[None, :, :]).reshape(-1, n)
-    weights = (w * r ** (n - 1))[:, None] * (surface * sphere.weights)[None, :]
+    weights = (w / r**p)[:, None] * (n * unit_ball_volume(n) * sphere.weights)[None, :]
     return QuadratureRule(nodes=nodes, weights=weights.ravel())
 
 

@@ -21,7 +21,7 @@ import ksenergy.directional
 import ksenergy.parallel
 from ksenergy import build_grid
 from ksenergy.config import ANCHOR_EXCLUSION
-from ksenergy.directional import _fold_ball, _gradient_norms, _reduce_directions
+from ksenergy.directional import _gradient_norms, _reduce_directions
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap, _parse_matrix, eval_stencil
 from ksenergy.quadrature import sphere_nodes
@@ -190,9 +190,11 @@ class TestRepEnergies:
         assert not frag_ok.under_truncation
 
     def test_chunked_densities_equal_full_expansion(self):
-        """Sphere at K and 2K, folded ball and frame densities equal their full-table formulas bit for bit, at workers 1 and 2.
+        """Sphere at K and 2K, ball and frame densities equal their full-table formulas bit for bit, at workers 1 and 2.
 
         The 33^2 grid has 841 eroded nodes: chunks of 512 and 329 rows.
+        Every row is seeded, so the field's 2K table is its K table and the
+        2K probe reports nothing.
         """
         grid = build_grid([0.0, 0.0], [1.0, 1.0], [33, 33])
         m = make_map("swirl:0.3", make_space("euclidean:2"), 2)
@@ -203,7 +205,7 @@ class TestRepEnergies:
                 f = frag.field
                 assert f.gmin.shape == (841,)
                 sphere = cfg.sphere_rule(2)
-                ball = _fold_ball(cfg.ball_rule(2), p)
+                ball = cfg.ball_angular_rule(2)
                 # each row's terms contiguous, as in a chunk, raised to p by the kernels' power
                 table = lambda dirs, k=None: _power(np.ascontiguousarray(f.columns(dirs, k)), p)
                 full = {
@@ -220,8 +222,9 @@ class TestRepEnergies:
                 }
                 for form, density in full.items():
                     assert np.array_equal(chunked[form], density), (form, p, workers)
-                energies = {"sphere": frag.energy_sphere, "sphere_2k": frag.energy_sphere_doubled,
-                            "ball": frag.energy_ball, "frame": frag.frame_sum}
+                assert f.reduced[2 * cfg.dense_count] is f.reduced[cfg.dense_count]
+                assert frag.energy_sphere_doubled is None and frag.under_truncation is None
+                energies = {"sphere": frag.energy_sphere, "ball": frag.energy_ball, "frame": frag.frame_sum}
                 for form, energy in energies.items():
                     assert energy == grid.node_weight * ksenergy.directional.pairwise_sum(full[form]), (form, p, workers)
 
@@ -233,42 +236,48 @@ class TestRepEnergies:
         (LINEAR_3D, "euclidean:3", 12),
     ])
     def test_folded_ball_equals_node_expansion(self, map_spec, space_spec, res):
-        """The default ball rule folded onto its direction classes equals the node-by-node expansion.
+        """The ball form, the default ball rule folded onto its directions, equals the node-by-node expansion.
 
-        The folded density is its class-table formula bit for bit, at
-        workers 1 and 2, and c_{n,p} sum_j w_j (|v_j| g_j)^p over the 3,072
-        (2-d) or 8,192 (3-d) nodes within 1e-15 relative on every row
-        (measured: at most 6.5e-16). The 33^2 grids have 841 eroded nodes
-        and 12^3 has 1,000: two chunks each.
+        Its Gauss-Jacobi radial weights W_k satisfy c_{n,p} n omega_n
+        sum_k W_k = 1, so the fold is the ball's angular rule. The ball form
+        equals c_{n,p} sum_j w_j (|v_j| g_j)^p over the 768 (2-d) or 2,048
+        (3-d) nodes within 2e-15 relative on every row (measured: at most
+        1.05e-15, the rounding of that sum's weights), and the sphere form on
+        the same angular rule within 1e-15 relative, at workers 1 and 2.
+        The 33^2 grids have 841 eroded nodes and 12^3 has 1,000: two chunks
+        each.
         """
         n = 3 if space_spec == "euclidean:3" else 2
         grid = build_grid([0.0] * n, [1.0] * n, [res] * n)
         m = make_map(map_spec, make_space(space_spec), n)
-        rule = EnergyConfig().ball_rule(n)
-        radii = np.linalg.norm(rule.nodes, axis=1)
+        angular = EnergyConfig().ball_angular_rule(n)
         for p in (1.5, 2.0, 3.0):
-            ball = _fold_ball(rule, p)
-            c_np = ksenergy.directional.energy_normalization(n, p)
+            rule = EnergyConfig(p=p).ball_rule(n)
+            radii = np.linalg.norm(rule.nodes, axis=1)
+            c_np = ksenergy.energy_normalization(n, p)
             for workers in (1, 2):
-                f = rep_energies(m, grid, EnergyConfig(p=p, dense_count=64, workers=workers), forms=("ball",)).field
-                folded = f.density(ball.nodes, p, ball.weights)
-                table = _power(np.ascontiguousarray(f.columns(ball.nodes)), p)
-                assert np.array_equal(folded, np.sum(table * ball.weights, axis=1)), (p, workers)
-            for r0 in range(0, len(folded), 128):  # the node expansion in row blocks: 8,192 columns in 3-d
+                cfg = EnergyConfig(p=p, dense_count=64, workers=workers)
+                frag = rep_energies(m, grid, cfg, forms=("ball",))
+                f = frag.field
+                ball = f.density(angular.nodes, p, angular.weights)
                 # each row's terms contiguous, so the row sum is pairwise
-                g = np.ascontiguousarray(f.columns(rule.nodes / radii[:, None])[r0 : r0 + 128])
+                g = np.ascontiguousarray(f.columns(rule.nodes / radii[:, None]))
                 nodes = np.sum(c_np * _power(g * radii, p) * rule.weights, axis=1)
-                assert np.all(np.abs(folded[r0 : r0 + 128] - nodes) <= 1e-15 * nodes), (p, r0)
+                assert np.all(np.abs(ball - nodes) <= 2e-15 * nodes), (p, workers)
+                on_angular = replace(cfg, sphere_order=ksenergy.quadrature.ball_order(n)[1])
+                sphere = rep_energies(m, grid, on_angular, forms=("sphere",))
+                assert abs(frag.energy_ball - sphere.energy_sphere) <= 1e-15 * sphere.energy_sphere, (p, workers)
 
     def test_ball_on_a_3d_domain(self):
-        """The 3-d ball folds 8,192 nodes onto 256 classes; on a linear map it equals the sphere on the same (16, 32) rule."""
+        """The 3-d ball has 2,048 nodes on 256 direction classes; on a linear map it equals the sphere on the same (16, 32) rule."""
         grid = build_grid([0.0] * 3, [1.0] * 3, [10] * 3)
         m = make_map(LINEAR_3D, make_space("euclidean:3"), 3)
         cfg = EnergyConfig(dense_count=64)
-        assert cfg.ball_rule(3).nodes.shape == (8192, 3)
+        assert cfg.ball_rule(3).nodes.shape == (2048, 3)
         assert np.array_equal(cfg.sphere_rule(3).nodes, ksenergy.sphere_nodes(3, (16, 32)).nodes)
+        assert np.array_equal(cfg.ball_angular_rule(3).nodes, cfg.sphere_rule(3).nodes)
+        assert _reduce_directions(cfg.ball_angular_rule(3).nodes)[0].shape == (256, 3)
         for p in (2.0, 3.0):
-            assert _fold_ball(cfg.ball_rule(3), p).nodes.shape == (256, 3)
             frag = rep_energies(m, grid, replace(cfg, p=p), forms=("sphere", "ball"))
             assert frag.energy_ball == pytest.approx(frag.energy_sphere, rel=1e-13, abs=0), p
 
@@ -775,8 +784,8 @@ def test_seeded_rays_of_a_chunk_stay_small():
     cfg = EnergyConfig()
     grid = build_grid([0.0, 0.0], [1.0, 1.0], [32, 32])
     m = make_map("swirl:0.3", make_space("euclidean:2"), 2)
-    # the sphere, folded ball and frame directions of `rep_energies`
-    dirs = np.concatenate([cfg.sphere_rule(2).nodes, _fold_ball(cfg.ball_rule(2), cfg.p).nodes, np.eye(2)])
+    # the sphere, ball and frame directions of `rep_energies`
+    dirs = np.concatenate([cfg.sphere_rule(2).nodes, cfg.ball_angular_rule(2).nodes, np.eye(2)])
     reps, _ = _reduce_directions(dirs)
     assert reps.shape == (192, 2)
     stencil = eval_stencil(m, grid.nodes[:512], cfg.resolved_fd_step(grid), grid)
@@ -933,12 +942,15 @@ class TestIncrementBound:
             check_increment_bound(m, unit_grid_16, np.array([1.0, 0.0]), math.nan, cfg_small)
 
 
-def test_one_d_ball_rule_with_a_node_at_the_origin():
-    """An odd 1-d ball rule has a node at the origin; the fold drops it, since it adds 0."""
+def test_one_d_ball_rule_is_the_s0_tensor_rule():
+    """In 1-d the ball rule tensors the Gauss-Jacobi radii with S^0 = {+1, -1}: no node at the origin."""
     grid = build_grid([0.0], [1.0], [16])
     m = make_map("linear:2", make_space("euclidean:1"), 1)
-    assert np.count_nonzero(ksenergy.ball_nodes(1, 3).nodes == 0.0) == 1
     for radial in (3, 4):
+        rule = ksenergy.ball_nodes(1, (radial, 2), p=1.5)
+        r, w = ksenergy.quadrature.radial_nodes(radial, 1.5)
+        assert np.array_equal(rule.nodes[:, 0], np.repeat(r, 2) * np.tile([1.0, -1.0], radial))
+        assert np.allclose(rule.weights, np.repeat(w / r**1.5, 2), rtol=1e-15, atol=0)
         frag = rep_energies(m, grid, EnergyConfig(dense_count=32, ball_order=(radial, 4)), forms=("ball",))
         assert frag.energy_ball == pytest.approx(4.0 * frag.mask_measure, rel=1e-12), radial
 

@@ -233,3 +233,26 @@ def test_ball_order_takes_a_3d_angular_pair():
 
 def test_boundary_knob_values_are_accepted():
     assert EnergyConfig(refine=False).to_dict()["refine"] is False
+
+
+@pytest.mark.parametrize("map_spec, space_spec, n", [
+    ("linear:1,0;0,2", "euclidean:2", 2),
+    ("linear:1,0.5;0.25,2", "max_norm_plane", 2),
+    ("linear:1,0.5,0;0,2,0.25;0.3,0,1", "euclidean:3", 3),
+])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_affine_energy_is_the_angular_rule_sum(map_spec, space_spec, n, p):
+    """On an affine map the KS energy per unit mask measure is the ball's angular sum, sum_w s_w |A w|^p, within 1e-13.
+
+    The Gauss-Jacobi radii carry r^(n-1+p) in their weights, so the radial
+    integral of (h r |A w|)^p is exact with any number of radii
+    (Gauss-Legendre radii for r^(n-1) read 1.7e-9 high at p = 1.5).
+    """
+    grid = build_grid([0.0] * n, [1.0] * n, [16 if n == 2 else 8] * n)
+    m = make_map(map_spec, make_space(space_spec), n)
+    cfg = EnergyConfig(p=p, h_count=3)
+    ks = ks_energy(m, grid, cfg)
+    rule = cfg.ball_angular_rule(n)
+    want = rule.weights @ m.target.distance(m.eval(rule.nodes), m.eval(np.zeros_like(rule.nodes)), p)
+    assert ks.mask_measure > 0
+    assert ks.ks_energy / ks.mask_measure == pytest.approx(want, rel=1e-13, abs=0)

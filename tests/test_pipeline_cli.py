@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,8 +30,14 @@ def run_cli(args):
 
 
 def test_import_leaves_scipy_stats_out():
-    """Only the n > 3 sphere rule needs scipy.stats (Sobol), and importing it is most of an import's time."""
-    proc = run_python(["-c", "import sys, ksenergy; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"])
+    """Only the n > 3 sphere rule needs scipy.stats (Sobol) and scipy.special (ndtri).
+
+    Importing scipy.stats is most of an import's time, and scipy.special
+    alone adds about 25 MB of resident memory.
+    """
+    code = ("import sys, ksenergy; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))")
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -76,6 +83,21 @@ class TestRunners:
         report, _, _ = run_counterexample(problem, cfg)
         assert report["under_truncation"] is True
         assert report["warnings"] == ["under_truncation", "frame_sum_not_larger"]
+
+    def test_probe_of_seeded_rows_is_null(self):
+        """With every row seeded, the 2K table is the K table: the probe's energy and flag are null, not a copy."""
+        problem = small_problem("swirl:0.3")
+        cfg = EnergyConfig(**FAST_CFG)
+        for report in (run_compare(problem, cfg)[0], run_rep(problem, cfg)[0]):
+            assert report["timing"]["scanned_rows"] == 0
+            assert report["rep_energy_sphere_doubled"] is None and report["under_truncation"] is None
+            assert "under_truncation" not in report["warnings"]
+        report = run_counterexample(small_problem("identity", "max_norm_plane"), cfg)[0]
+        assert report["timing"]["scanned_rows"] == 0 and report["under_truncation"] is None
+        # scanned rows keep the probe
+        report = run_rep(problem, replace(cfg, refine=False))[0]
+        assert report["timing"]["seeded_rows"] == 0
+        assert report["rep_energy_sphere_doubled"] > 0 and report["under_truncation"] is False
 
     def test_counterexample_rejects_wrong_map(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ksenergy import EnergyConfig, ball_nodes, energy_normalization, sphere_nodes, unit_ball_volume
 from ksenergy.errors import ExtrapolationDataError, UnsupportedDimensionError
-from ksenergy.quadrature import extrapolate_fields
+from ksenergy.quadrature import extrapolate_fields, radial_nodes
 
 
 def test_unit_ball_volumes():
@@ -62,18 +62,48 @@ class TestSphereRules:
 
     def test_rejects_low_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
-            sphere_nodes(1)
+            sphere_nodes(0)
+
+    def test_s0(self):
+        rule = sphere_nodes(1)
+        assert np.array_equal(rule.nodes, [[1.0], [-1.0]])
+        assert np.array_equal(rule.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0])
+def test_radial_rule_is_gauss_jacobi(m, beta):
+    """Golub-Welsch in numpy gives scipy's Gauss-Jacobi rule (alpha = 0) mapped to (0, 1) for the weight r^beta."""
+    from scipy.special import roots_jacobi  # the package never imports scipy.special
+
+    x, w = roots_jacobi(m, 0.0, beta)
+    r, weights = radial_nodes(m, beta)
+    assert np.max(np.abs(r - (x + 1.0) / 2.0)) <= 1e-15
+    assert np.max(np.abs(weights / (w / 2.0 ** (beta + 1.0)) - 1.0)) <= 1e-13
 
 
 class TestBallRules:
     def test_total_weight_is_ball_volume(self):
+        # at p = 0 the rule is the plain volume rule
         assert ball_nodes(2).weights.sum() == pytest.approx(math.pi, abs=1e-12)
         assert ball_nodes(3).weights.sum() == pytest.approx(4 * math.pi / 3, abs=1e-12)
         assert ball_nodes(1).weights.sum() == pytest.approx(2.0, abs=1e-12)
 
     def test_one_d_takes_the_radial_entry_of_a_pair(self):
-        # EnergyConfig.ball_order is a (radial, angular) pair in every dimension
-        assert np.array_equal(ball_nodes(1, (8, 64)).nodes, ball_nodes(1, 8).nodes)
+        # EnergyConfig.ball_order is a (radial, angular) pair in every dimension; S^0 ignores the angular entry
+        rule = ball_nodes(1, (8, 64))
+        assert rule.nodes.shape == (16, 1)
+        assert np.array_equal(rule.nodes, ball_nodes(1, (8, 2)).nodes)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_exact_on_the_p_th_power_of_the_radius(self, n, p):
+        """One radius integrates |v|^p over the ball, (n omega_n) / (n + p), and so does the default rule."""
+        want = n * unit_ball_volume(n) / (n + p)
+        for order in ((1, {1: 2, 2: 16, 3: (4, 8)}[n]), None):
+            rule = ball_nodes(n, order, p=p)
+            got = rule.weights @ np.linalg.norm(rule.nodes, axis=1) ** p
+            assert got == pytest.approx(want, rel=1e-14, abs=0), order
 
     def test_radial_moment(self):
         rule = ball_nodes(2)
@@ -87,11 +117,12 @@ class TestBallRules:
             assert np.all(np.linalg.norm(rule.nodes, axis=1) <= 1.0 + 1e-12)
             assert np.all(rule.weights > 0)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_node_has_a_direction(self, n):
-        """The Gauss-Legendre radii lie in (0, 1), so no node of an n >= 2 rule sits at the origin (an odd 1-d rule has one)."""
+        """The Gauss-Jacobi radii lie in (0, 1), so no node sits at the origin."""
         for radial in range(1, 65):
-            assert np.all(np.linalg.norm(ball_nodes(n, (radial, 16)).nodes, axis=1) > 0), radial
+            for p in (0.0, 1.5):
+                assert np.all(np.linalg.norm(ball_nodes(n, (radial, 16), p=p).nodes, axis=1) > 0), (radial, p)
 
     def test_linear_map_second_moment(self):
         # integral over the ball of |A v|^2 = |A|_F^2 * pi / 4 in 2-d
