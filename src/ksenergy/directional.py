@@ -22,7 +22,12 @@ The sup over D is realized in two layers, both deterministic:
     trusted where the sheets' separation sep exceeds 32 delta max_k |J_k|
     and 32 lattice quanta.
   A trusted row's value is its seed's, the same at every reported prefix
-  length, so the 2K truncation probe measures only scanned rows;
+  length, so the 2K truncation probe measures only scanned rows. The seeds
+  are cheap per row (`_refine_chunk`): the rays come from coordinate-major
+  planes (`spaces._jacobian_rays`), the maxima are taken over undivided
+  differences and divided by 2 delta once, and a shared anchor whose
+  difference column repeats, up to sign, one already projected is not
+  projected again: the scan's distinct-gradient rule, below;
 * a prefix scan over the first K enumerated dense points, for the rows
   without a trusted seed, for `EnergyConfig(refine=False)` runs and for
   the K sweep, whose rows are prefix-only by definition. Anchors within
@@ -54,8 +59,9 @@ rule (|d_v u| = |v| g_{v/|v|}, and the ball rule's radial weights W_k have
 c_{n,p} n omega_n sum_k W_k = 1), e_1..e_n with weight 1 for the frame sum,
 and each K or sphere-order row of a convergence sweep. Each density is
 reduced per node chunk in the worker threads (`DirectionalField.density`),
-never from a full (nodes, directions) table, but with that table's
-operations, order and layout, so bit for bit the same. A direction's value can still differ
+in blocks of about DENSITY_VALUES values, never from a full (nodes,
+directions) table, but with that table's per-row operations, order and
+layout, so bit for bit the same. A direction's value can still differ
 by 1 ulp with the other directions in the field: `_reduce_directions`
 keeps a class's first occurrence as its representative, and two members
 of a class can differ by 1 ulp.
@@ -72,12 +78,14 @@ from .errors import ConfigError, InvalidDirectionError, NonFiniteResultError
 from .maps import eval_stencil
 from .parallel import pairwise_sum, run_chunked
 from .quadrature import QuadratureRule
-from .spaces import _power
+from .spaces import _norms, _power
 
 INCREMENT_TOLERANCE = 1e-3  # IncrementCheck.holds allows the lhs this relative excess
 FORMS = ("sphere", "ball", "frame")  # the energies `rep_energies` computes
-# rows per density block: a wide rule (a large --sphere-order, n > 3) never fills a whole chunk's block
-DENSITY_ROWS = 64
+# values per density block: 512 rows (a whole chunk) of the 256-node sphere
+# rule, so a thread holds the GIL for few, large blocks, and a wide rule (a
+# large --sphere-order, n > 3) still takes 1 MiB per block
+DENSITY_VALUES = 2**17
 # rows per seeded-ray block: a (rows, 192 direction classes, 2) temporary takes
 # 384 KiB (1.5 MiB for a whole 512-row chunk)
 REFINE_ROWS = 128
@@ -152,22 +160,25 @@ class DirectionalField:
     def density(self, directions, p, weights, k=None):
         """(N,) sum_j weights_j g_j^p over `directions`, at prefix k (default K).
 
-        Reduced per node chunk in `workers` threads, DENSITY_ROWS rows at a
-        time: their columns gathered into a C-ordered block, ** p (with
-        `spaces._power`, as the KS route) and * weights in place, then row
-        sums. These are a full (N, len(directions)) table's operations, so
-        the values are the same bit for bit; the row sum is numpy's pairwise
-        sum, not a BLAS product, so no BLAS thread count changes a digit.
+        Reduced per node chunk in `workers` threads, in blocks of
+        max(1, DENSITY_VALUES // len(directions)) rows: their columns
+        gathered into a C-ordered block, ** p (with `spaces._power`, as the
+        KS route) and * weights in place, then row sums. These are a full
+        (N, len(directions)) table's operations, each per row, so no block
+        height changes a bit (one block is the full table); the row sum is
+        numpy's pairwise sum, not a BLAS product, so no BLAS thread count
+        changes a digit.
         """
         table = self.reduced[self.dense_count if k is None else k]
         cols = self._column_index(directions)
+        height = max(1, DENSITY_VALUES // len(cols))
 
         def work(start, stop):
             out = np.empty(stop - start)
             # errstate is per thread; an overflow shows up as a non-finite report number
             with np.errstate(all="ignore"):
-                for r0 in range(start, stop, DENSITY_ROWS):
-                    r1 = min(r0 + DENSITY_ROWS, stop)
+                for r0 in range(start, stop, height):
+                    r1 = min(r0 + height, stop)
                     block = _power(np.take(table[r0:r1], cols, axis=1), p)
                     block *= weights
                     np.sum(block, axis=1, out=out[r0 - start : r1 - start])
@@ -318,7 +329,7 @@ def _scan(metric_map, stencil, reps, anchors, prefixes, delta, cfg):
         center = space.distance(stencil.u0[:, None, :], xi[None, :, :])
         grads = stencil.gradient(space, xi)
         grads[center < r_excl] = 0.0
-        norms = _gradient_norms(grads)
+        norms = _norms(grads)
         # overflow is caught here, where it arises, and a finite norm bounds every projection
         if not np.all(np.isfinite(norms)):
             raise _non_finite(metric_map)
@@ -333,22 +344,6 @@ def _scan(metric_map, stencil, reps, anchors, prefixes, delta, cfg):
             snaps.append(M.copy())
     snaps.append(M)  # the scan ends at the longest prefix
     return snaps, gmin
-
-
-def _gradient_norms(grads):
-    """np.linalg.norm(grads, axis=-1), bit for bit, without a reduction per element.
-
-    Below 8 coordinates numpy sums the squares sequentially, so the square
-    root of the per-coordinate squares summed in coordinate order is the
-    same number; from 8 on it sums pairwise, and the norm stays numpy's.
-    """
-    n = grads.shape[-1]
-    if n >= 8:
-        return np.linalg.norm(grads, axis=-1)
-    sq = grads[..., 0] * grads[..., 0]
-    for i in range(1, n):
-        sq += grads[..., i] * grads[..., i]
-    return np.sqrt(sq, out=sq)
 
 
 def _bucket_keys(bits):
@@ -434,6 +429,20 @@ def _refine_chunk(space, stencil, reps, cfg):
     work, per-coordinate products, last-axis sums, one LAPACK SVD per
     matrix), so no value depends on the block height, the worker count or
     the BLAS thread count.
+
+    The maxima are taken over the undivided differences, each projection
+    |sum_i d_i nu_i| written into one (B, R) buffer, and divided by 2 delta
+    once at the end: x -> fl(x / c) is monotone for c > 0, so it commutes
+    with the max, and NaN and inf propagate through both.
+
+    Distinct-column rule: a shared anchor whose difference column equals,
+    in every row of the block, an already projected column or its negation
+    is not projected again (|fl(nu . -d)| = |fl(nu . d)| under
+    round-to-nearest); its distances and its |grad d| still count. It
+    pays only when the differences are exact, which takes a dyadic map,
+    grid and delta: the max-norm identity at 32^2 and 64^2 projects 2 of
+    its 8 shared anchors, `winding:2` at 32^2 1 of 2; at 48^2 it skips one
+    column of one block, and on `linear:1,0.3;0.2,1.1` none.
     """
     if not cfg.refine:
         return None
@@ -441,14 +450,11 @@ def _refine_chunk(space, stencil, reps, cfg):
     depth = _snap_depth(stencil.delta)
     R = reps.shape[0]
 
-    def projection(diffs):
-        j = diffs[0] * reps[:, 0]
+    def projection(diffs, out):
+        np.multiply(diffs[0], reps[:, 0], out=out)
         for i in range(1, n):
-            j += diffs[i] * reps[:, i]
-        return np.abs(j) / (2.0 * stencil.delta)
-
-    def gradient_norm(diffs):
-        return _gradient_norms(np.stack(diffs, axis=-1)) / (2.0 * stencil.delta)
+            out += diffs[i] * reps[:, i]
+        return np.abs(out, out=out)
 
     N = stencil.u0.shape[0]
     g = np.empty((N, R))
@@ -458,24 +464,48 @@ def _refine_chunk(space, stencil, reps, cfg):
         rows = slice(r0, r0 + REFINE_ROWS)
         block = stencil.take(rows)
         seeds = space.seeds(block, reps, depth)
-        g_rows = np.zeros((seeds.trusted.shape[0], R))
-        top = np.zeros(seeds.trusted.shape[0])
+        B = seeds.trusted.shape[0]
+        g_rows = np.zeros((B, R))
+        top = np.zeros(B)
+        proj = np.empty((B, R))
         for anchor in seeds.rays:
             diffs = list(block.differences(space, anchor))
-            np.maximum(g_rows, projection([d[:, :R] for d in diffs]), out=g_rows)
-            np.maximum(top, gradient_norm([d[:, R:] for d in diffs])[:, 0], out=top)
+            np.maximum(g_rows, projection([d[:, :R] for d in diffs], proj), out=g_rows)
+            np.maximum(top, _norms(np.stack([d[:, R] for d in diffs], axis=-1)), out=top)
         if seeds.rays:
             g_rows = np.where(seeds.live[:, :R], g_rows, 0.0)
             top = np.where(seeds.live[:, R], top, 0.0)
-        for anchor in seeds.shared:
-            diffs = list(block.differences(space, anchor))
-            for a in range(anchor.shape[1]):
-                np.maximum(g_rows, projection([d[:, a, None] for d in diffs]), out=g_rows)
-            np.maximum(top, gradient_norm(diffs).max(axis=1), out=top)
-        g[rows] = g_rows
-        gmin[rows] = top
+        if seeds.shared:
+            # one (B, A) array per coordinate: every shared anchor's differences, in anchor order
+            diffs = [np.concatenate(d, axis=1) for d in zip(*(block.differences(space, a) for a in seeds.shared))]
+            for a in np.flatnonzero(_distinct_columns(diffs)):
+                np.maximum(g_rows, projection([d[:, a, None] for d in diffs], proj), out=g_rows)
+            np.maximum(top, _norms(np.stack(diffs, axis=-1)).max(axis=1), out=top)
+        np.divide(g_rows, 2.0 * stencil.delta, out=g[rows])
+        np.divide(top, 2.0 * stencil.delta, out=gmin[rows])
         trusted[rows] = seeds.trusted
     return g, gmin, trusted
+
+
+def _distinct_columns(diffs):
+    """(A,) mask of the difference columns to project, from one (B, A) difference array per coordinate.
+
+    Column a is skipped when each of its rows equals that row of an earlier
+    column or its negation; by induction that earlier row's value is
+    projected. NaN equals nothing, so a column with a NaN is projected. The
+    comparisons are laid out (earlier column, column, row), so every inner
+    loop runs over the B rows.
+    """
+    planes = [np.ascontiguousarray(d.T) for d in diffs]
+    A = planes[0].shape[0]
+    same = np.ones((A, A, planes[0].shape[1]), dtype=bool)
+    flip = same.copy()
+    for c in planes:
+        same &= c[:, None] == c
+        flip &= c[:, None] == -c
+    same |= flip
+    same &= (np.arange(A)[:, None] < np.arange(A))[:, :, None]
+    return ~np.logical_or.reduce(same, axis=0).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +549,7 @@ class RepEnergies:
     mask_indices: Optional[np.ndarray] = None
     mask_measure: float = 0.0
     energy_sphere_doubled: Optional[float] = None
-    under_truncation: Optional[bool] = False  # None when every row is seeded: the probe measures nothing
+    under_truncation: Optional[bool] = None  # set only where the 2K probe ran
     field: Optional[DirectionalField] = None
 
 
@@ -532,9 +562,10 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     FORMS, each one (directions, weights) rule for `DirectionalField.energy`,
     for the ball its angular rule. `prefixes` is passed to
     `directional_field`; the energies are at K, and the sphere energy also
-    at 2K when the field holds a 2K table of its own (None with every row
-    seeded, as the flag). `mask` is the h0-erosion mask, built here when
-    not given.
+    at 2K when the field holds a 2K table of its own. Where it does not (no
+    2K prefix, or every row seeded) the doubled energy and the
+    `under_truncation` flag stay None. `mask` is the h0-erosion mask, built
+    here when not given.
     """
     if not forms or not set(forms) <= set(FORMS):
         raise ConfigError(f"forms must be a nonempty subset of {FORMS}, got {forms!r}")
@@ -558,9 +589,9 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     if "sphere" in forms:
         out.density_sphere, out.energy_sphere = f.energy(rules["sphere"], cfg.p, grid.node_weight)
         doubled = 2 * cfg.dense_count
-        if f.reduced.get(doubled) is f.reduced[cfg.dense_count]:
-            out.under_truncation = None
-        elif doubled in f.reduced:
+        probe = f.reduced.get(doubled)
+        # with every row seeded the 2K table is the K table, and the probe measures nothing
+        if probe is not None and probe is not f.reduced[cfg.dense_count]:
             _, out.energy_sphere_doubled = f.energy(rules["sphere"], cfg.p, grid.node_weight, doubled)
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
             out.under_truncation = abs(out.energy_sphere_doubled - out.energy_sphere) > TRUNCATION_RTOL * ref

@@ -47,15 +47,6 @@ class Problem:
         }
 
 
-def _require_sphere(problem):
-    """The directional route averages over S^(n-1): reject a 1-d domain before any numerics."""
-    if len(problem.lower) < 2:
-        raise ConfigError(
-            f"the directional route needs a domain of dimension >= 2, got {len(problem.lower)}-d "
-            "(ks-energy works in 1-d)"
-        )
-
-
 # the KS route's report block; run_ks alone adds inner_measure_exact
 _KS_KEYS = (
     "h_values",
@@ -134,8 +125,7 @@ def _gap(value, ref, mask_measure):
 def _node_table(grid, idx, **columns):
     """A per-node CSV table: the coordinates of grid.nodes[idx], then one column per keyword."""
     header = [f"x{i}" for i in range(grid.dim)] + list(columns)
-    rows = zip(grid.nodes[idx], *columns.values())
-    return [header] + [tuple(float(v) for v in (*node, *vals)) for node, *vals in rows]
+    return [header] + np.column_stack([grid.nodes[idx], *columns.values()]).tolist()
 
 
 def run_ks(problem, cfg):
@@ -153,7 +143,6 @@ def run_rep(problem, cfg, form="both"):
     if form not in ("sphere", "ball", "both"):
         raise ConfigError(f"unknown form {form!r}")
     forms = ("sphere", "ball") if form == "both" else (form,)
-    _require_sphere(problem)
     space, metric_map, grid = problem.build()
     t0 = time.perf_counter()
     frag = rep_energies(metric_map, grid, cfg, forms=forms)
@@ -167,7 +156,6 @@ def run_rep(problem, cfg, form="both"):
 
 def run_compare(problem, cfg):
     """compare: both routes on the same map, with the per-node density gap."""
-    _require_sphere(problem)
     space, metric_map, grid = problem.build()
     t0 = time.perf_counter()
     mask = grid.inner_mask(cfg.h0)
@@ -233,8 +221,6 @@ def run_convergence(problem, cfg, sweeps=_SWEEPS):
     unknown = sorted(set(sweeps) - set(_SWEEPS))
     if unknown:
         raise ConfigError(f"unknown sweep(s) {unknown}; choose from {', '.join(_SWEEPS)}")
-    if set(sweeps) & {"K", "sphere", "delta"}:
-        _require_sphere(problem)
     if "sphere" in sweeps and len(problem.lower) != 2:
         # the ladder's orders are circle orders; on S^2 order 256 is 131,072 directions per node
         raise ConfigError(f"the sphere sweep needs a 2-d domain, got {len(problem.lower)}-d")

@@ -193,6 +193,23 @@ class Seeds:
     shared: tuple = ()
 
 
+def _norms(v):
+    """np.linalg.norm(v, axis=-1) of a point-major array, bit for bit, without a reduction per element.
+
+    Below 8 coordinates numpy sums the squares sequentially, so the square
+    root of the per-coordinate squares summed in coordinate order is the
+    same number, whatever the layout of v; from 8 on it sums pairwise, and
+    the norm stays numpy's, taken over a C-ordered copy.
+    """
+    n = v.shape[-1]
+    if n >= 8:
+        return np.linalg.norm(np.ascontiguousarray(v), axis=-1)
+    sq = v[..., 0] * v[..., 0]
+    for i in range(1, n):
+        sq += v[..., i] * v[..., i]
+    return np.sqrt(sq, out=sq)
+
+
 def _jacobian_columns(stencil):
     """u(x + delta e_i) - u(x - delta e_i) = 2 delta J e_i of the stencil's rows, one (B, rep_dim) array per i."""
     return [plus - minus for plus, minus in zip(stencil.plus, stencil.minus)]
@@ -203,20 +220,30 @@ def _jacobian_rays(cols, reps):
 
     w is (B, R + 1, rep_dim), and 0 where live (B, R + 1) is False (J nu = 0,
     or J = 0 in the last column). The common factor 2 delta of `cols` drops
-    out. Each step is per row (elementwise work, last-axis sums, one LAPACK
-    SVD per matrix), so no value depends on how many rows come at once.
+    out. w is a view of one coordinate-major (rep_dim, B, R + 1) buffer,
+    filled plane by plane as the KS tiles are: plane c of J nu is
+    cols[0][:, c] nu_0 + cols[1][:, c] nu_1 + ..., in that order, so the
+    snapped rays and the distance kernels see contiguous (B, R + 1) planes
+    and no loop runs over a 1- or 2-entry last axis. |w| comes from
+    `_norms`, so w is bit for bit that of the point-major formula with
+    last-axis sums. Each step is per row (elementwise work, per-coordinate
+    sums, one LAPACK SVD per matrix), so no value depends on how many rows
+    come at once.
     """
     u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
-    w = np.empty((cols[0].shape[0], reps.shape[0] + 1, cols[0].shape[1]))
-    jnu = w[:, :-1]
-    np.multiply(cols[0][:, None, :], reps[:, 0, None], out=jnu)
-    for i in range(1, len(cols)):
-        jnu += cols[i][:, None, :] * reps[:, i, None]
-    w[:, -1] = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
-    length = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+    B, m = cols[0].shape
+    buf = np.empty((m, B, reps.shape[0] + 1))
+    for c in range(m):
+        jnu = buf[c, :, :-1]
+        np.multiply(cols[0][:, c, None], reps[:, 0], out=jnu)
+        for i in range(1, len(cols)):
+            jnu += cols[i][:, c, None] * reps[:, i]
+    buf[:, :, -1] = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0).T
+    w = np.moveaxis(buf, 0, -1)
+    length = _norms(w)
     live = length > 0
-    w /= np.where(live, length, 1.0)
-    return w, live[..., 0]
+    buf /= np.where(live, length, 1.0)
+    return w, live
 
 
 class MetricSpace:

@@ -21,11 +21,11 @@ import ksenergy.directional
 import ksenergy.parallel
 from ksenergy import build_grid
 from ksenergy.config import ANCHOR_EXCLUSION
-from ksenergy.directional import _gradient_norms, _reduce_directions
+from ksenergy.directional import _reduce_directions
 from ksenergy.errors import ConfigError, InvalidDirectionError, StencilRangeError
 from ksenergy.maps import MetricMap, _parse_matrix, eval_stencil
 from ksenergy.quadrature import sphere_nodes
-from ksenergy.spaces import EuclideanSpace, MetricSpace, _power
+from ksenergy.spaces import EuclideanSpace, MetricSpace, _norms, _power
 
 MAXNORM_DENSITY = (2.0 + math.pi) / (2.0 * math.pi)
 X0 = np.array([0.40625, 0.53125])  # generic interior node of the 16^2 grid
@@ -798,14 +798,141 @@ def test_seeded_rays_of_a_chunk_stay_small():
     assert peak <= 5 * 2**20
 
 
+def _point_major_rays(cols, reps):
+    """The (B, R + 1, rep_dim) rays of `spaces._jacobian_rays`, built point-major with last-axis sums."""
+    u, sigma, _ = np.linalg.svd(np.stack(cols, axis=2), full_matrices=False)
+    w = np.empty((cols[0].shape[0], reps.shape[0] + 1, cols[0].shape[1]))
+    jnu = w[:, :-1]
+    np.multiply(cols[0][:, None, :], reps[:, 0, None], out=jnu)
+    for i in range(1, len(cols)):
+        jnu += cols[i][:, None, :] * reps[:, i, None]
+    w[:, -1] = np.where(sigma[:, :1] > 0, u[:, :, 0], 0.0)
+    length = np.sqrt(np.sum(w * w, axis=-1, keepdims=True))
+    live = length > 0
+    w /= np.where(live, length, 1.0)
+    return w, live[..., 0]
+
+
+def _eight_sheet_map():
+    """A smooth map into `q:2:4`: rep_dim 8, where |w|^2 is numpy's pairwise sum."""
+    a = np.random.default_rng(8).normal(size=(8, 2))
+    return MetricMap(make_space("q:2:4"), lambda x: np.sin(x @ a.T) + 2.0, "eight")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_map("winding:2,1.3", make_space("circle"), 2),
+    lambda: make_map("swirl:0.3", make_space("euclidean:2"), 2),
+    _eight_sheet_map,
+])
+def test_jacobian_rays_equal_the_point_major_formula(make):
+    """The coordinate-major rays equal the point-major formula bit for bit, at rep_dim 1, 2 and 8.
+
+    Rows with J = 0 and a row with J e_2 = 0 take the not-live branches.
+    """
+    m = make()
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [24, 24])
+    stencil = eval_stencil(m, grid.nodes[grid.inner_mask(0.05)], 1.0 / 192, grid)
+    cols = [c.copy() for c in ksenergy.spaces._jacobian_columns(stencil)]
+    for c in cols:
+        c[:3] = 0.0
+    cols[1][3] = 0.0
+    reps, _ = _reduce_directions(np.concatenate([np.eye(2), EnergyConfig().sphere_rule(2).nodes]))
+    w, live = ksenergy.spaces._jacobian_rays(cols, reps)
+    want_w, want_live = _point_major_rays(cols, reps)
+    assert w.shape == want_w.shape == (len(cols[0]), len(reps) + 1, m.target.rep_dim)
+    assert np.array_equal(live, want_live) and not live[:3].any() and not live[3, 1]
+    assert np.array_equal(w.view(np.uint64), want_w.view(np.uint64))
+
+
+def _every_shared_projection(space, stencil, reps):
+    """(g, gmin) of the shared seed anchors, node by node: each anchor projected and divided by 2 delta, then the max."""
+    seeds = space.seeds(stencil, reps, ksenergy.directional._snap_depth(stencil.delta))
+    two_delta = 2.0 * stencil.delta
+    g = np.zeros((stencil.u0.shape[0], reps.shape[0]))
+    gmin = np.zeros(stencil.u0.shape[0])
+    for anchor in seeds.shared:
+        diffs = list(stencil.differences(space, anchor))
+        for r in range(len(g)):
+            for a in range(anchor.shape[1]):
+                d = [diff[r, a] for diff in diffs]
+                j = d[0] * reps[:, 0]
+                for i in range(1, len(d)):
+                    j += d[i] * reps[:, i]
+                np.maximum(g[r], np.abs(j) / two_delta, out=g[r])
+                gmin[r] = max(gmin[r], math.sqrt(sum(v * v for v in d)) / two_delta)
+    return g, gmin
+
+
+@pytest.mark.parametrize("res, skipped", [(64, 6 * 27), (48, 1)])
+def test_distinct_shared_columns_equal_every_projection(monkeypatch, res, skipped):
+    """`_refine_chunk` equals every shared anchor's projection, node by node, whether its distinct-column rule skips or not.
+
+    On the max-norm identity the anchors u(x) -+ R e_i have the difference
+    columns +-2 delta e_i. At 64^2 (dyadic delta) they are exact, so
+    u(x) + R e_1 is u(x) - R e_1's column negated, and of each block's 8
+    columns 2 are projected; at 48^2 they round differently per row, and
+    only one column of one block is skipped.
+    """
+    m = make_map("identity", make_space("max_norm_plane"), 2)
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [res, res])
+    cfg = EnergyConfig()
+    stencil = eval_stencil(m, grid.nodes[grid.inner_mask(0.05)], cfg.resolved_fd_step(grid), grid)
+    reps, _ = _reduce_directions(cfg.sphere_rule(2).nodes)
+    distinct = ksenergy.directional._distinct_columns
+    masks = []
+
+    def record(diffs):
+        masks.append(distinct(diffs))
+        return masks[-1]
+
+    monkeypatch.setattr(ksenergy.directional, "_distinct_columns", record)
+    g, gmin, trusted = ksenergy.directional._refine_chunk(m.target, stencil, reps, cfg)
+    assert trusted.all() and len(masks) == -(-len(trusted) // ksenergy.directional.REFINE_ROWS)
+    assert all(len(mask) == 8 for mask in masks) and sum(np.count_nonzero(~mask) for mask in masks) == skipped
+    want_g, want_gmin = _every_shared_projection(m.target, stencil, reps)
+    assert np.array_equal(g, want_g) and np.array_equal(gmin, want_gmin)
+    if res == 64:
+        # u(x) - R e_1, u(x) - R e_2, u(x) + R e_1, u(x) + R e_2 at the first radius
+        anchors = m.target.seeds(stencil, reps, ksenergy.directional._snap_depth(stencil.delta)).shared[0]
+        column = lambda k: np.stack(list(stencil.differences(m.target, anchors[:, k : k + 1])))
+        assert np.array_equal(column(2), -column(0)) and np.any(column(0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_density_blocks_never_change_bits(monkeypatch, workers):
+    """`DirectionalField.density` is the same at 1, 37 and 512 rows per block and at the value budget's height.
+
+    Sphere order 256 (the budget's 512 rows), the ball's angular rule and
+    the frame (one block per chunk) on the 841 eroded nodes of 33^2: two
+    chunks. Each equals the full table's row sums.
+    """
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [33, 33])
+    m = make_map("swirl:0.3", make_space("euclidean:2"), 2)
+    cfg = EnergyConfig(p=1.5, dense_count=64, sphere_order=256, workers=workers)
+    f = rep_energies(m, grid, cfg).field
+    rules = [cfg.sphere_rule(2), cfg.ball_angular_rule(2), ksenergy.QuadratureRule(np.eye(2), np.ones(2))]
+    for rule in rules:
+        full = np.sum(_power(np.ascontiguousarray(f.columns(rule.nodes)), cfg.p) * rule.weights, axis=1)
+        want = f.density(rule.nodes, cfg.p, rule.weights)
+        assert np.array_equal(want, full)
+        for rows in (1, 37, 512):
+            with monkeypatch.context() as patch:
+                patch.setattr(ksenergy.directional, "DENSITY_VALUES", rows * len(rule.nodes))
+                got = f.density(rule.nodes, cfg.p, rule.weights)
+            assert np.array_equal(got, want), (len(rule.nodes), rows)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_gradient_norms_equal_linalg_norm(n):
-    """`_gradient_norms` is np.linalg.norm(axis=-1) bit for bit, on magnitudes 1e-6..1e6 and exact zeros."""
+    """`spaces._norms` is np.linalg.norm(axis=-1) bit for bit, on magnitudes 1e-6..1e6 and exact zeros, in either layout."""
     rng = np.random.default_rng(n)
     grads = rng.normal(size=(64, 40, n)) * 10.0 ** rng.uniform(-6, 6, size=(64, 40, n))
     grads[rng.random(grads.shape) < 0.2] = 0.0
     grads[:, :3] = 0.0  # whole vectors zero, as for excluded anchors
-    assert np.array_equal(_gradient_norms(grads), np.linalg.norm(grads, axis=-1))
+    want = np.linalg.norm(grads, axis=-1)
+    assert np.array_equal(_norms(grads), want)
+    # the coordinate-major layout of `spaces._jacobian_rays`
+    assert np.array_equal(_norms(np.moveaxis(np.ascontiguousarray(np.moveaxis(grads, -1, 0)), 0, -1)), want)
 
 
 def _dict_reduce_directions(dirs):

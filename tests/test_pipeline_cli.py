@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -424,12 +425,40 @@ class TestCli:
         assert json.loads(proc.stdout)["warnings"] == ["empty_mask"]
 
     @pytest.mark.parametrize("subcommand", ["rep-energy", "compare", "convergence"])
-    def test_one_d_domain_rejected_on_directional_route(self, capsys, subcommand):
-        args = ["--space", "euclidean:1", "--map", "identity", "--lower", "0", "--upper", "1", "--resolution", "16"]
-        assert main([subcommand, *args, "--json", "/dev/null"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ConfigError"
-        # the KS route has no sphere directions and works in 1-d
-        assert main(["ks-energy", *args, "--h-count", "3", "--json", "/dev/null"]) == 0
+    def test_one_d_domain_runs_on_directional_route(self, tmp_path, subcommand):
+        """On [0, 1] the directions are S^0 = {+1, -1}: linear:2 has density 2^2 = 4 on the mask of measure 0.875."""
+        args = ["--space", "euclidean:1", "--map", "linear:2", "--lower", "0", "--upper", "1", "--resolution", "16"]
+        sweep = ["--sweep", "h,K,delta"] if subcommand == "convergence" else []
+        out = tmp_path / "r.json"
+        assert main([subcommand, *args, *sweep, "--json", str(out), "--csv", str(tmp_path / "t")]) == 0
+        report = json.loads(out.read_text())
+        assert report["warnings"] == []
+        if subcommand == "convergence":
+            for name in ("K_sweep", "delta_sweep"):
+                rows = list(csv.reader((tmp_path / f"t_{name}.csv").read_text().splitlines()))[1:]
+                assert [float(r[1]) for r in rows] == [3.5] * len(rows), name
+            return
+        assert report["mask_measure"] == 0.875 and report["rep_energy_sphere"] == 3.5
+        if subcommand == "compare":
+            assert report["relative_gap"] == abs(report["ks_energy"] - 3.5) / 3.5 <= 2.6e-16
+        else:
+            assert report["rep_energy_ball"] == 3.5
+            circle = ["--space", "circle", "--map", "winding:2", *args[4:], "--json", str(out)]
+            assert main(["rep-energy", *circle]) == 0
+            assert json.loads(out.read_text())["rep_energy_sphere"] == 3.5
+
+    @pytest.mark.parametrize("args", [
+        ["rep-energy", "--map", "swirl:0.3", "--no-truncation-check"],
+        ["counterexample", "--space", "max_norm_plane", "--no-truncation-check"],
+        ["rep-energy", "--map", "swirl:0.3", "--form", "ball"],
+    ])
+    def test_no_truncation_probe_reports_null(self, tmp_path, args):
+        """Without a 2K probe (no check, or no sphere energy) `under_truncation` is null and not coded."""
+        out = tmp_path / "r.json"
+        assert main([*args, "--resolution", "16", "--K", "64", "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["under_truncation"] is None and report.get("rep_energy_sphere_doubled") is None
+        assert "under_truncation" not in report["warnings"]
 
     def test_counterexample_requires_setup(self):
         assert main(["counterexample", "--space", "euclidean:2", "--json", "/dev/null"]) == 2
