@@ -19,6 +19,7 @@ object on stderr.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -29,7 +30,6 @@ import numpy as np
 from .config import EnergyConfig
 from .errors import ConfigError, KSEnergyError, KSEnergyWarning
 from .pipeline import Problem, run_compare, run_convergence, run_counterexample, run_ks, run_oracle, run_rep
-from .reports import canonical_json, write_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,6 +192,24 @@ def _check_outputs(args):
             writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
         if not writable:
             raise ConfigError(f"{flag} {path!r}: not a writable location")
+
+
+def canonical_json(obj):
+    """Stable serialization: sorted keys, fixed separators, repr floats."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+
+
+def _cell(v):
+    # repr(float(...)): a numpy float64 would otherwise print as np.float64(...)
+    return repr(float(v)) if isinstance(v, float) else v
 
 
 def _emit(args, report, tables):

@@ -129,7 +129,7 @@ class DirectionalField:
     """Directional moduli g_nu(x) on a point set, plus the minimal gradient."""
 
     dirs: np.ndarray  # (D, n) unit directions
-    reduced: dict  # prefix length -> (N, R) g over the reduced directions; one shared array if all rows are seeded
+    reduced: dict  # prefix length -> (N, R) g over the reduced directions; one shared array if no row was scanned
     gmin: np.ndarray  # (N,)
     dense_count: int
     workers: int = 1  # threads that reduce its densities (cfg.workers of the run)
@@ -230,21 +230,15 @@ def directional_field(metric_map, points, dirs, cfg, grid, prefixes=None):
             return _field_chunk(metric_map, points[start:stop], reps, anchors, prefixes, delta, cfg, grid)
 
     parts = run_chunked(work, points.shape[0], cfg.workers)
-    if parts:
-        snaps = [p[0] for p in parts]
-        # a prefix whose every chunk holds the previous prefix's array (all rows seeded) shares its table
-        same = [j > 0 and all(s[j] is s[j - 1] for s in snaps) for j in range(len(prefixes))]
-        reduced = {}
-        for j, k in enumerate(prefixes):
-            # pop: each chunk's copy of a prefix is freed as soon as it is joined
-            blocks = [s.pop(0) for s in snaps]
-            reduced[k] = reduced[prefixes[j - 1]] if same[j] else np.concatenate(blocks, axis=0)
-        gmin = np.concatenate([p[1] for p in parts], axis=0)
-        seeded = sum(p[2] for p in parts)
+    gmin = np.concatenate([p[1] for p in parts] or [np.zeros(0)])
+    seeded = sum(p[2] for p in parts)
+    snaps = [p[0] for p in parts]
+    if seeded == len(gmin):
+        # no row was scanned (every row seeded, or no rows): one table serves every prefix
+        reduced = dict.fromkeys(prefixes, np.concatenate([s[0] for s in snaps] or [np.zeros((0, reps.shape[0]))]))
     else:
-        reduced = {k: np.zeros((0, reps.shape[0])) for k in prefixes}
-        gmin = np.zeros(0)
-        seeded = 0
+        # pop: each chunk's copy of a prefix is freed as soon as it is joined
+        reduced = {k: np.concatenate([s.pop(0) for s in snaps]) for k in prefixes}
     # gmin is the running max over every reported value (NaN propagates), so
     # one check on it catches a non-finite seeded value anywhere
     if not np.all(np.isfinite(gmin)):
@@ -266,10 +260,10 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
 
     `grid` bounds the stencil, as in `maps.eval_stencil`. With cfg.refine,
     `_refine_chunk` seeds every row first; a trusted row keeps its seed at
-    every prefix length, and a chunk whose rows are all trusted returns one
-    array for every prefix. The other rows are scanned (`_scan`) exactly as
+    every prefix length. The other rows are scanned (`_scan`) exactly as
     with refine off, so they equal a refine-off field bit for bit.
-    Returns ([g at each prefix length], gmin, number of seeded rows).
+    Returns ([g at each prefix length], gmin, number of seeded rows); the
+    count alone tells whether any row was scanned.
     """
     space = metric_map.target
     stencil = eval_stencil(metric_map, pts, delta, grid)
@@ -292,9 +286,9 @@ def _field_chunk(metric_map, pts, reps, anchors, prefixes, delta, cfg, grid):
                 s[rest] = t[at]
             gmin[rest] = gmin_scan[at]
         count = int(np.count_nonzero(trusted))
-    for j, s in enumerate(snaps):
-        if j == 0 or s is not snaps[j - 1]:
-            np.maximum(gmin, s.max(axis=1), out=gmin)
+    # every table is at most the last one entry by entry (the scan's max only
+    # grows, a seed is the same at every length), and NaN propagates through both
+    np.maximum(gmin, snaps[-1].max(axis=1), out=gmin)
     return snaps, gmin, count
 
 
@@ -562,10 +556,11 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     FORMS, each one (directions, weights) rule for `DirectionalField.energy`,
     for the ball its angular rule. `prefixes` is passed to
     `directional_field`; the energies are at K, and the sphere energy also
-    at 2K when the field holds a 2K table of its own. Where it does not (no
-    2K prefix, or every row seeded) the doubled energy and the
-    `under_truncation` flag stay None. `mask` is the h0-erosion mask, built
-    here when not given.
+    at 2K when the field holds a 2K table and scanned some row
+    (`seeded_rows` below the row count). Otherwise (no 2K prefix, every row
+    seeded, or an empty mask) the doubled energy and the `under_truncation`
+    flag stay None. `mask` is the h0-erosion mask, built here when not
+    given.
     """
     if not forms or not set(forms) <= set(FORMS):
         raise ConfigError(f"forms must be a nonempty subset of {FORMS}, got {forms!r}")
@@ -589,9 +584,8 @@ def rep_energies(metric_map, grid, cfg, forms=FORMS, prefixes=None, mask=None):
     if "sphere" in forms:
         out.density_sphere, out.energy_sphere = f.energy(rules["sphere"], cfg.p, grid.node_weight)
         doubled = 2 * cfg.dense_count
-        probe = f.reduced.get(doubled)
-        # with every row seeded the 2K table is the K table, and the probe measures nothing
-        if probe is not None and probe is not f.reduced[cfg.dense_count]:
+        # with no row scanned (every row seeded, or an empty mask) the probe measures nothing
+        if doubled in f.reduced and f.seeded_rows < len(f.gmin):
             _, out.energy_sphere_doubled = f.energy(rules["sphere"], cfg.p, grid.node_weight, doubled)
             ref = max(abs(out.energy_sphere_doubled), 1e-300)
             out.under_truncation = abs(out.energy_sphere_doubled - out.energy_sphere) > TRUNCATION_RTOL * ref

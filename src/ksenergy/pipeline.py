@@ -69,7 +69,7 @@ def _report(problem, cfg, subcommand, t0, values, ks=None, ks_keys=_KS_KEYS, rep
     `empty_mask`); without it, `empty_mask` leads when set. `rep` (a
     RepEnergies) contributes the directional block. A true `under_truncation`
     (the 2K probe moved the energy), from `rep` or the runner's `values`,
-    adds its coded entry (it is null when every row was seeded); the
+    adds its coded entry (it is null when no row was scanned); the
     runner's own `warnings` come last, and
     `timing.total_s` is measured from `t0`. `field`, the run's directional
     field, adds `timing.seeded_rows` and `timing.scanned_rows`: how many of

@@ -65,13 +65,10 @@ def sphere_nodes(n, order=None, seed=0):
         count = int(order)
         if count < 1:
             raise UnsupportedDimensionError("need at least one sphere node")
+        theta = 2.0 * math.pi * np.arange(count) / count
+        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         if count % 2 == 0:
-            theta = 2.0 * math.pi * np.arange(count // 2) / count
-            half = np.column_stack([np.cos(theta), np.sin(theta)])
-            nodes = np.vstack([half, -half])
-        else:
-            theta = 2.0 * math.pi * np.arange(count) / count
-            nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+            nodes[count // 2 :] = -nodes[: count // 2]
         weights = np.full(count, 1.0 / count)
     elif n == 3:
         n_az, n_pol = (int(order), 2 * int(order)) if np.isscalar(order) else (int(order[0]), int(order[1]))

@@ -711,6 +711,53 @@ def test_rows_without_a_trusted_seed_keep_the_scan(monkeypatch, make, res, untru
     assert [v.hex() for v in sweep] == PARENT_K_SWEEP[m.label]
 
 
+def _kind_of_field(monkeypatch, kind, workers):
+    """A field on the 32^2 mask (784 rows, two node chunks) whose seeded-row count is the case under test.
+
+    "seeded": swirl, every row trusted; "scan": refine off; "one" and
+    "many": the identity map with 1 row (in the second chunk) or every
+    fifth row (in both) untrusted; "empty": no points.
+    """
+    grid = build_grid([0.0, 0.0], [1.0, 1.0], [32, 32])
+    pts = grid.nodes[grid.inner_mask(0.05)]
+    cfg = EnergyConfig(dense_count=64, sphere_order=32, workers=workers, refine=kind != "scan")
+    dirs = sphere_nodes(2, 32).nodes
+    prefixes = (16, 64, 128)
+    space = make_space("euclidean:2")
+    if kind in ("seeded", "scan", "empty"):
+        m = make_map("swirl:0.3", space, 2)
+        points = pts[:0] if kind == "empty" else pts
+        return directional_field(m, points, dirs, cfg, grid, prefixes)
+    untrusted = pts[[700]] if kind == "one" else pts[::5]
+    refine = ksenergy.directional._refine_chunk
+
+    def distrust(space, stencil, reps, cfg):
+        g, gmin, trusted = refine(space, stencil, reps, cfg)
+        # the identity's u0 is the point itself
+        hit = np.any(np.all(stencil.u0[:, None, :] == untrusted[None], axis=2), axis=1)
+        return g, gmin, trusted & ~hit
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ksenergy.directional, "_refine_chunk", distrust)
+        f = directional_field(make_map("identity", space, 2), pts, dirs, cfg, grid, prefixes)
+    assert len(f.gmin) - f.seeded_rows == len(untrusted)
+    return f
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["seeded", "scan", "one", "many", "empty"])
+def test_seeded_count_decides_the_shared_table(monkeypatch, kind, workers):
+    """The field shares one table across its prefixes exactly when no row was scanned, and gmin bounds every table."""
+    f = _kind_of_field(monkeypatch, kind, workers)
+    shared = f.seeded_rows == len(f.gmin)
+    assert shared == (kind in ("seeded", "empty"))
+    assert (f.reduced[128] is f.reduced[64]) == shared
+    assert len({id(t) for t in f.reduced.values()}) == (1 if shared else 3)
+    for k, table in f.reduced.items():
+        assert table.shape == (len(f.gmin), 16), k
+        assert np.all(f.gmin >= table.max(axis=1, initial=0.0)), k
+
+
 class _SeedlessPlane(MetricSpace):
     """The Euclidean plane without seeds: a target that can only be scanned."""
 

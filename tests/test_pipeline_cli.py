@@ -407,6 +407,24 @@ class TestCli:
         assert body["sphere_ball_gap"] is None
         assert body["warnings"] == ["empty_mask"]
 
+    @pytest.mark.parametrize("args", [
+        ["rep-energy"],
+        ["compare"],
+        ["counterexample", "--space", "max_norm_plane"],
+    ])
+    def test_empty_mask_probe_reports_null(self, tmp_path, args):
+        """No row is scanned on an empty mask, so the 2K probe measures nothing: null, not 0.0 and false."""
+        out = tmp_path / "e.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyMaskWarning)
+            code = main([*args, "--resolution", "8", "--h0", "0.49", "--h-count", "3", "--K", "64",
+                         "--sphere-order", "16", "--ball-order", "4,16", "--json", str(out)])
+        assert code == 0
+        body = json.loads(out.read_text())
+        assert body["under_truncation"] is None and body.get("rep_energy_sphere_doubled") is None
+        assert body["timing"]["scanned_rows"] == 0
+        assert body["warnings"] == ["empty_mask"]
+
     def test_empty_mask_convergence_is_coded(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyMaskWarning)

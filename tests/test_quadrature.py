@@ -49,6 +49,20 @@ class TestSphereRules:
         half = rule.nodes[:32]
         assert np.array_equal(rule.nodes[32:], -half)
 
+    def test_circle_rule_equals_the_half_and_whole_formulas(self):
+        """The circle rule keeps the bits of its two old constructions: antipodal halves for even counts, all angles for odd."""
+
+        def reference(count):
+            if count % 2 == 0:
+                theta = 2.0 * math.pi * np.arange(count // 2) / count
+                half = np.column_stack([np.cos(theta), np.sin(theta)])
+                return np.vstack([half, -half])
+            theta = 2.0 * math.pi * np.arange(count) / count
+            return np.column_stack([np.cos(theta), np.sin(theta)])
+
+        for count in range(1, 4097):
+            assert np.array_equal(sphere_nodes(2, count).nodes, reference(count)), count
+
     def test_layered_rule_n3(self):
         rule = sphere_nodes(3, (16, 32))
         assert rule.weights @ rule.nodes[:, 2] ** 2 == pytest.approx(1.0 / 3.0, abs=1e-12)
